@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
 from repro.experiments import ext_stream
-from repro.memo import MemoSession
 from repro.nn import models
+from repro.obs import RunSession
 
 
 def test_persistent_memo_warm_speedup(benchmark, record_sim_rate,
@@ -72,7 +72,7 @@ def test_streaming_frames_per_second(benchmark, record_memo_counters,
     per_frame_seconds = (time.perf_counter() - start) / len(frames)
 
     def stream_once():
-        with MemoSession(tmp_path / "memo"):
+        with RunSession(memo_dir=tmp_path / "memo"):
             return NeurocubeSimulator(config).run_stream(net, frames)
 
     stream = benchmark.pedantic(stream_once, rounds=1, iterations=1)

@@ -23,13 +23,14 @@ _NONDETERMINISTIC_PREFIXES = (
 
 _OBS_ALLOWED_MODULES = frozenset({
     # The tracer-hook protocol: agents accept an optional Tracer and the
-    # simulator discovers the ambient TraceSession.  repro.obs.live is
-    # the same shape for telemetry — the simulator reads the ambient
-    # LiveTelemetry and bills host phases through opaque timer hooks.
-    # Everything else in repro.obs (counters, exporters, manifests) is
-    # presentation-layer.
+    # simulator resolves its run options (trace, faults, checkpoint,
+    # memo) against the ambient RunSession and registers each finished
+    # run there.  repro.obs.live is the same shape for telemetry — the
+    # simulator reads the ambient LiveTelemetry and bills host phases
+    # through opaque timer hooks.  Everything else in repro.obs
+    # (counters, exporters, manifests) is presentation-layer.
     "repro.obs.tracer",
-    "repro.obs.session",
+    "repro.obs.runsession",
     "repro.obs.live",
 })
 
@@ -100,7 +101,7 @@ class ObsLayering(Rule):
     rationale = (
         "Observability must stay optional and one-directional: agents "
         "accept a Tracer (repro.obs.tracer) and the simulator reads the "
-        "ambient session (repro.obs.session).  Importing exporters, "
+        "ambient run session (repro.obs.runsession).  Importing exporters, "
         "counters or manifests from the cycle model would invert the "
         "layering and drag I/O into the hot loop.")
 

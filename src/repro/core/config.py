@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
-from repro.faults.config import FaultConfig
 from repro.fixedpoint import Q_1_7_8, QFormat
 from repro.memory.specs import (
     DDR3,
@@ -90,10 +89,6 @@ class NeurocubeConfig:
         sim_memo_max_bytes: total on-disk budget for the memo store;
             least-recently-used entries are evicted past it.  None
             disables eviction.
-        faults: optional :class:`repro.faults.FaultConfig` — when set,
-            every pass runs with deterministic fault injection and the
-            retry/timeout protocols (see docs/fault_injection.md).
-            None disables the machinery entirely (the hook-free path).
     """
 
     memory_spec: MemorySpec = HMC_INT
@@ -116,7 +111,6 @@ class NeurocubeConfig:
     sim_memoize: bool = True
     sim_memo_dir: str | None = None
     sim_memo_max_bytes: int | None = None
-    faults: FaultConfig | None = None
 
     def __post_init__(self) -> None:
         if self.sim_workers < 1:

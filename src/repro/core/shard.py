@@ -39,10 +39,12 @@ CRC/retransmit protocol as mesh links, at frame granularity, salted by
 never by execution order — so injections stay identical serial vs
 sharded, and rate 0 is pinned bit-identical to no injector at all.
 
-Observability caveat: ambient trace/fault/memo *sessions* are parent-
-process state; with ``workers > 1`` the cube processes cannot see them.
-Pass ``faults``/``checkpoint`` explicitly (or via the cube config) for
-strict session parity between serial and parallel sharded runs.
+Run options are resolved once, in the parent, by
+:func:`repro.obs.runsession.resolve_options`; every cube job receives
+the fault and checkpoint settings explicitly and runs untraced, without
+a persistent memo store, reading no session.  The parent registers each
+cube's run with the active :class:`repro.obs.RunSession` stack, so a
+session sees the same runs whether the cubes ran in-process or pooled.
 """
 
 from __future__ import annotations
@@ -64,16 +66,18 @@ from repro.faults.checkpoint import CheckpointSpec
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector, FaultStats, _flip_bits
 from repro.faults.rng import pass_salt
-from repro.faults.session import (
-    current_checkpoint_session,
-    current_fault_session,
-)
 from repro.fixedpoint import from_float, quantize_float, to_float
 from repro.memory.layout import conv_layout, fc_layout
 from repro.nn.layers import Dense, Flatten
 from repro.nn.network import Network
 from repro.noc.cubelink import CubeLinkModel, CubeLinkStats
 from repro.obs.live import current_live, intercube_attribution
+from repro.obs.runsession import (
+    CapturedRun,
+    RunOptions,
+    record_run,
+    resolve_options,
+)
 
 #: Per-cube link occupancy metric family (see METRIC_FAMILIES).
 LINK_OCCUPANCY_METRIC = "neurocube_intercube_link_occupancy"
@@ -474,34 +478,30 @@ class CubeOutcome:
     host_seconds: float
     fault_stats: FaultStats | None
     degraded: tuple
-    memo_stats: object | None
 
 
-def run_cube_job(config: NeurocubeConfig, faults: FaultConfig | None,
-                 checkpoint: CheckpointSpec | None,
+def run_cube_job(config: NeurocubeConfig, options: RunOptions,
                  job: CubeJob) -> CubeOutcome:
     """Simulate one cube's shard of one layer (worker entry point).
 
     Builds a fresh single-cube simulator per job — cubes share no
     architectural state — and runs the shard through the unmodified
-    :meth:`~repro.core.simulator.NeurocubeSimulator.run_descriptor`
-    path.  Fault salts and checkpoint labels derive from the shard
-    descriptor's name (``....cubeN``), so every cube owns a disjoint
-    checkpoint namespace and serial/parallel runs inject identically.
+    :meth:`~repro.core.simulator.NeurocubeSimulator.execute` path with
+    the parent's resolved ``options``; no session is read here.  Fault
+    salts and checkpoint labels derive from the shard descriptor's name
+    (``....cubeN``), so every cube owns a disjoint checkpoint namespace
+    and serial/parallel runs inject identically.
     """
     # Imported here, not at module top: the simulator imports core
     # modules that would otherwise cycle through this one.
     from repro.core.simulator import NeurocubeSimulator
 
-    simulator = NeurocubeSimulator(config, faults=faults,
-                                   checkpoint=checkpoint)
-    run = simulator.run_descriptor(job.descriptor, job.layer,
-                                   job.input_tensor)
+    run = NeurocubeSimulator(config).execute(
+        job.descriptor, job.layer, job.input_tensor, options)
     return CubeOutcome(
         cube=job.cube, cycles=run.cycles, output=run.output,
         stats=run.to_stats(), host_seconds=run.host_seconds,
-        fault_stats=run.fault_stats, degraded=run.degraded,
-        memo_stats=run.memo_stats)
+        fault_stats=run.fault_stats, degraded=run.degraded)
 
 
 @dataclass
@@ -588,8 +588,7 @@ class _RunState:
     report: RunReport
     links: CubeLinkModel
     executor: ParallelPassExecutor
-    faults: FaultConfig | None
-    checkpoint: CheckpointSpec | None
+    options: RunOptions
     injector: FaultInjector | None
     cube_layers: list = field(default_factory=list)
     exchanges: list = field(default_factory=list)
@@ -614,6 +613,11 @@ def _slice_coords(kind: str, slice_: CubeSlice, shape,
 class ShardedSimulator:
     """Cycle-accurate execution of a network sharded across cubes.
 
+    Fault and checkpoint settings are resolved once per run by
+    :func:`repro.obs.runsession.resolve_options` — the argument here,
+    then the active :class:`repro.obs.RunSession` stack — and shipped
+    to every cube job explicitly.
+
     Args:
         config: the cluster (per-cube config, cube count, link model
             parameters, optional per-cube capacity).
@@ -621,10 +625,8 @@ class ShardedSimulator:
             ``config.n_cubes``.  ``workers=1`` runs every cube in-process
             through the identical code path (the serial reference the
             equivalence suite pins the parallel mode against).
-        faults: explicit :class:`FaultConfig`; falls back to
-            ``config.cube.faults``, then to the ambient fault session.
-        checkpoint: explicit :class:`CheckpointSpec`; falls back to the
-            ambient checkpoint session.
+        faults: explicit :class:`FaultConfig` for cubes and links.
+        checkpoint: explicit :class:`CheckpointSpec` for every cube pass.
     """
 
     def __init__(self, config: MultiCubeConfig,
@@ -644,22 +646,6 @@ class ShardedSimulator:
         self._cube_config = dataclasses.replace(config.cube,
                                                 sim_workers=1)
 
-    # -- resolution (parent-side, so pool workers see the same state) --
-
-    def _resolve_faults(self) -> FaultConfig | None:
-        if self.faults is not None:
-            return self.faults
-        if self.config.cube.faults is not None:
-            return self.config.cube.faults
-        session = current_fault_session()
-        return session.config if session is not None else None
-
-    def _resolve_checkpoint(self) -> CheckpointSpec | None:
-        if self.checkpoint is not None:
-            return self.checkpoint
-        session = current_checkpoint_session()
-        return session.spec if session is not None else None
-
     # -- run entry points ----------------------------------------------
 
     def run_network(self, network: Network, x: np.ndarray,
@@ -675,85 +661,87 @@ class ShardedSimulator:
         statically verifies the shard plan (NC301-NC306) before any
         cube process is spawned; None follows the process-wide default.
         """
-        # Host wall-clock only; never feeds any simulated result.
-        # nclint: allow(NC101) host-side timing
-        started = time.perf_counter()
-        plan = shard_network(network, self.config, duplicate,
-                             validate=validate)
-        by_layer: dict[int, ShardedLayer] = {}
-        for entry in plan.layers:
-            if entry.layer_index in by_layer:
-                raise MappingError(
-                    f"{network.name!r}: layer {entry.name!r} lowers to "
-                    f"multiple descriptors; functional sharded "
-                    f"execution needs one descriptor per layer — use "
-                    f"run_timing for timing-only sharding")
-            by_layer[entry.layer_index] = entry
-        state = self._begin_run(plan, network.name)
-        current = quantize_float(np.asarray(x, dtype=np.float64),
-                                 self.config.cube.qformat)
-        for index, layer in enumerate(network.layers):
-            if isinstance(layer, Flatten):
-                current = current.reshape(-1)
-                continue
-            entry = by_layer.get(index)
-            if entry is None:
-                raise MappingError(
-                    f"layer {layer.name!r} missing from shard plan")
-            inputs = self._cube_inputs(entry, current)
-            exchange_cycles = self._run_exchange(state, entry, current,
-                                                 inputs)
-            jobs = [CubeJob(cube=cube,
-                            descriptor=entry.descriptors[cube],
-                            layer=self._cube_layer(entry, layer, cube),
-                            input_tensor=inputs[cube])
-                    for cube in range(plan.n_cubes)]
-            outcomes = self._dispatch(state, jobs)
-            current = self._stitch(entry, outcomes)
-            state.positions = self._owned_positions(entry, current)
-            self._fold_layer(state, entry, outcomes, exchange_cycles)
-        # nclint: allow(NC101) host-side timing
-        state.report.host_seconds = time.perf_counter() - started
-        return current, self._finalize(state)
+        return self._run(network, x, duplicate, validate)
 
     def run_timing(self, network: Network,
                    duplicate: bool = True,
                    validate: bool | None = None) -> ShardRunReport:
         """Simulate timing only, sharded — every descriptor, no tensors.
 
-        Iterates the plan's descriptor order directly, so multi-
-        descriptor layers (LSTM gates + cell update) shard too; link
-        faults still run their retry protocol (drops and corruptions
-        cost cycles; lost frames are recorded as degraded results).
+        Multi-descriptor layers (LSTM gates + cell update) shard too;
+        link faults still run their retry protocol (drops and
+        corruptions cost cycles; lost frames are recorded as degraded
+        results).
         """
+        return self._run(network, None, duplicate, validate)[1]
+
+    def _run(self, network: Network, x: np.ndarray | None,
+             duplicate: bool, validate: bool | None
+             ) -> tuple[np.ndarray | None, ShardRunReport]:
+        """The one per-layer loop: functional when ``x`` is given."""
+        # Host wall-clock only; never feeds any simulated result.
         # nclint: allow(NC101) host-side timing
         started = time.perf_counter()
         plan = shard_network(network, self.config, duplicate,
                              validate=validate)
+        functional = x is not None
+        seen: set[int] = set()
+        for entry in plan.layers if functional else ():
+            if entry.layer_index in seen:
+                raise MappingError(
+                    f"{network.name!r}: layer {entry.name!r} lowers to "
+                    f"multiple descriptors; functional sharded "
+                    f"execution needs one descriptor per layer — use "
+                    f"run_timing for timing-only sharding")
+            seen.add(entry.layer_index)
         state = self._begin_run(plan, network.name)
+        current = (quantize_float(np.asarray(x, dtype=np.float64),
+                                  self.config.cube.qformat)
+                   if functional else None)
         for entry in plan.layers:
-            exchange_cycles = self._run_exchange(state, entry, None,
-                                                 None)
+            inputs = (self._cube_inputs(entry, current) if functional
+                      else [None] * plan.n_cubes)
+            exchange_cycles = self._run_exchange(
+                state, entry, current, inputs if functional else None)
+            layer = network.layers[entry.layer_index] if functional else None
             jobs = [CubeJob(cube=cube,
                             descriptor=entry.descriptors[cube],
-                            layer=None, input_tensor=None)
+                            layer=self._cube_layer(entry, layer, cube),
+                            input_tensor=inputs[cube])
                     for cube in range(plan.n_cubes)]
             outcomes = self._dispatch(state, jobs)
+            for job, outcome in zip(jobs, outcomes, strict=True):
+                record_run(CapturedRun(
+                    label=job.descriptor.name, cycles=outcome.cycles,
+                    host_seconds=outcome.host_seconds,
+                    stats=outcome.stats, descriptor=job.descriptor,
+                    fault_stats=outcome.fault_stats,
+                    degraded=outcome.degraded), self._cube_config)
+            if functional:
+                current = self._stitch(entry, outcomes)
+                state.positions = self._owned_positions(entry, current)
             self._fold_layer(state, entry, outcomes, exchange_cycles)
+        if functional and isinstance(network.layers[-1], Flatten):
+            current = current.reshape(-1)
         # nclint: allow(NC101) host-side timing
         state.report.host_seconds = time.perf_counter() - started
-        return self._finalize(state)
+        return current, self._finalize(state)
 
     # -- internals ------------------------------------------------------
 
     def _begin_run(self, plan: ShardPlan, network_name: str) -> _RunState:
-        faults = self._resolve_faults()
+        resolved = resolve_options(self.config.cube, RunOptions(
+            faults=self.faults, checkpoint=self.checkpoint))
+        # Cube jobs get faults and checkpoints only: no trace and no
+        # persistent memo store, in-process and pooled alike.
+        options = RunOptions(faults=resolved.faults,
+                             checkpoint=resolved.checkpoint)
         injector = None
-        if faults is not None and faults.intercube_active:
+        if options.faults is not None and options.faults.intercube_active:
             # One parent-side injector for the whole run: inter-cube
             # draws are keyed by (exchange, cube, attempt) identity, so
             # a run-level salt of 0 is stable across execution modes.
-            injector = FaultInjector(faults, salt=0)
+            injector = FaultInjector(options.faults, salt=0)
         report = RunReport(network_name=network_name,
                            f_clk_hz=self.config.cube.f_pe_hz,
                            peak_gops=self.config.total_peak_gops,
@@ -766,21 +754,18 @@ class ShardedSimulator:
             f_clk_hz=self.config.cube.f_pe_hz)
         return _RunState(plan=plan, report=report, links=links,
                          executor=ParallelPassExecutor(self.workers),
-                         faults=faults,
-                         checkpoint=self._resolve_checkpoint(),
-                         injector=injector)
+                         options=options, injector=injector)
 
     def _dispatch(self, state: _RunState,
                   jobs: list[CubeJob]) -> list[CubeOutcome]:
         from functools import partial
 
-        worker = partial(run_cube_job, self._cube_config, state.faults,
-                         state.checkpoint)
+        worker = partial(run_cube_job, self._cube_config, state.options)
         return state.executor.map(worker, jobs)
 
     def _cube_layer(self, entry: ShardedLayer, layer, cube: int):
         """The layer object one cube's job ships (or a Dense slice)."""
-        if entry.kind != "fc":
+        if layer is None or entry.kind != "fc":
             return layer
         if not isinstance(layer, Dense):
             raise MappingError(
@@ -1001,12 +986,6 @@ class ShardedSimulator:
                 if state.fault_stats is None:
                     state.fault_stats = FaultStats()
                 state.fault_stats.merge(outcome.fault_stats)
-            if outcome.memo_stats is not None:
-                if state.report.memo is None:
-                    from repro.memo.store import MemoStats
-
-                    state.report.memo = MemoStats()
-                state.report.memo.merge(outcome.memo_stats)
         if exchange_cycles >= compute:
             state.report.attribution.append(intercube_attribution(
                 base.name, base.kind, exchange_cycles, compute))

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
-from repro.core.layerdesc import LayerDescriptor
+from repro.core.layerdesc import LayerDescriptor, NeurocubeProgram
 from repro.core.metrics import LayerStats, RunReport, StreamReport
 from repro.core.parallel import (
     MapOutcome,
@@ -52,10 +52,6 @@ from repro.errors import ConfigurationError, MappingError, SimulationError
 from repro.faults.checkpoint import CheckpointSpec, CheckpointStore
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.session import (
-    current_checkpoint_session,
-    current_fault_session,
-)
 from repro.fixedpoint import to_float
 from repro.memory.vault import VaultChannel
 from repro.nn.activations import ActivationLUT
@@ -69,7 +65,12 @@ from repro.obs.live import (
     attribute_report,
     current_live,
 )
-from repro.obs.session import current_session
+from repro.obs.runsession import (
+    CapturedRun,
+    RunOptions,
+    record_run,
+    resolve_options,
+)
 from repro.obs.tracer import Trace, TraceOptions, Tracer
 
 
@@ -364,28 +365,29 @@ class _EventHorizonScheduler:
 class NeurocubeSimulator:
     """Flit-accurate simulator for one :class:`NeurocubeConfig`.
 
+    The run options below are resolved once per descriptor run by
+    :func:`repro.obs.runsession.resolve_options`, field by field: this
+    constructor's argument, then (memo only) ``config.sim_memo_dir``,
+    then the active :class:`repro.obs.RunSession` stack.  Unset
+    everywhere, each option is off.  None of them changes simulated
+    results except ``faults``.
+
     Args:
         config: the architecture to simulate.
         trace: :class:`repro.obs.TraceOptions` to trace every pass of
-            every descriptor run; None (the default) disables tracing —
-            unless an ambient :class:`repro.obs.TraceSession` is active,
-            in which case its options apply and finished runs register
-            with the session.  Tracing never changes simulated results:
-            cycle counts and outputs are bit-identical either way.
+            every descriptor run.  Tracing never changes simulated
+            results: cycle counts and outputs are bit-identical either
+            way.
         faults: :class:`repro.faults.FaultConfig` enabling deterministic
-            fault injection on every pass.  Resolution order:
-            this argument, then ``config.faults``, then an ambient
-            :class:`repro.faults.FaultSession`.  None everywhere runs
+            fault injection on every pass.  None everywhere runs
             entirely injector-free (the seed-baseline fast path).
         checkpoint: :class:`repro.faults.CheckpointSpec` enabling
-            periodic per-pass snapshots and/or resume; falls back to an
-            ambient :class:`repro.faults.CheckpointSession`.
+            periodic per-pass snapshots and/or resume.
         memo: :class:`repro.memo.MemoStore` making timing-pass
             memoization persistent — memoized outcomes are loaded from
-            and stored to disk, surviving across runs.  Resolution
-            order: this argument, then ``config.sim_memo_dir``, then an
-            ambient :class:`repro.memo.MemoSession`.  None everywhere
-            keeps memoization in-process only.  Bit-identity holds
+            and stored to disk, surviving across runs.  Without one, a
+            store is opened at the resolved memo directory; with
+            neither, memoization stays in-process.  Bit-identity holds
             either way: loaded entries pass the same NC207 key⇒hash
             check the in-run replay is built on, or they are rejected
             and re-simulated.
@@ -401,33 +403,29 @@ class NeurocubeSimulator:
         self.faults = faults
         self.checkpoint = checkpoint
         self.memo = memo
-        self._memo_store = None
+        self._memo_stores: dict = {}
 
-    def _resolve_memo(self):
-        """The persistent memo store for this run, or None.
+    def _options(self) -> RunOptions:
+        """This simulator's options, resolved for one run."""
+        return resolve_options(self.config, RunOptions(
+            trace=self.trace_options, faults=self.faults,
+            checkpoint=self.checkpoint))
 
-        Explicit argument first, then a store opened (once, cached) at
-        ``config.sim_memo_dir``, then the innermost ambient
-        :class:`repro.memo.MemoSession`.
-        """
-        if self.memo is not None:
+    def _memo_store(self, options: RunOptions):
+        """The persistent memo store for a run, or None: the explicit
+        one, else a store at the resolved directory (opened once)."""
+        if self.memo is not None or options.memo_dir is None:
             return self.memo
-        if self.config.sim_memo_dir is not None:
-            if self._memo_store is None:
-                # Imported lazily: repro.memo sits above the core in
-                # the layering (it imports the task/outcome types).
-                from repro.memo.store import MemoStore
+        key = (options.memo_dir, options.memo_max_bytes)
+        if key not in self._memo_stores:
+            # Imported lazily: repro.memo sits above the core in the
+            # layering (it imports the task/outcome types).
+            from repro.memo.store import MemoStore
 
-                self._memo_store = MemoStore(
-                    self.config.sim_memo_dir, self.config,
-                    max_bytes=self.config.sim_memo_max_bytes)
-            return self._memo_store
-        from repro.memo.session import current_memo_session
-
-        session = current_memo_session()
-        if session is not None:
-            return session.store_for(self.config)
-        return None
+            self._memo_stores[key] = MemoStore(
+                options.memo_dir, self.config,
+                max_bytes=options.memo_max_bytes)
+        return self._memo_stores[key]
 
     def _topology(self):
         if self.config.noc_topology == "fully_connected":
@@ -740,13 +738,12 @@ class NeurocubeSimulator:
 
     def run_descriptor(self, desc: LayerDescriptor, layer=None,
                        input_tensor: np.ndarray | None = None) -> LayerRun:
-        """Simulate all passes of one descriptor.
+        """Simulate all passes of one descriptor under resolved options.
 
-        Conv output maps and pool maps are independent; they are built
-        into :class:`MapTask` units and dispatched through the pass
-        executor — in-process when ``config.effective_sim_workers`` is 1,
-        over a process pool otherwise.  Outcomes are folded in task
-        order, so the parallel path is bit-identical to the serial one.
+        The run entry point: resolves this simulator's options once,
+        simulates through :meth:`execute`, and registers the finished
+        run with every active :class:`repro.obs.RunSession` and the
+        ambient :class:`repro.obs.LiveTelemetry`.
 
         Args:
             desc: the compiled descriptor (forward phase).
@@ -754,23 +751,44 @@ class NeurocubeSimulator:
                 the activation); None runs timing-only.
             input_tensor: the layer input, unbatched; None -> timing-only.
         """
+        options = self._options()
+        run = self.execute(desc, layer, input_tensor, options,
+                           self._memo_store(options))
+        record_run(CapturedRun(
+            label=desc.name, cycles=run.cycles,
+            host_seconds=run.host_seconds, stats=run.to_stats(),
+            descriptor=desc, trace=run.trace, fault_stats=run.fault_stats,
+            degraded=run.degraded, memo_stats=run.memo_stats), self.config)
+        live = current_live()
+        if live is not None:
+            live.observe_layer(
+                desc.name, run.cycles, run.host_seconds,
+                n_pe=self.config.n_pe, macs_fired=run.macs_fired,
+                pe_busy_cycles=run.pe_busy_cycles,
+                search_stall_cycles=run.search_stall_cycles,
+                inject_stall_cycles=run.inject_stall_cycles,
+                packets=run.packets, degraded=len(run.degraded),
+                memo_stats=run.memo_stats)
+        return run
+
+    def execute(self, desc: LayerDescriptor, layer, input_tensor,
+                options: RunOptions, memo=None) -> LayerRun:
+        """Simulate one descriptor with explicit options; reads no
+        session and registers nothing (the cube-job entry point).
+
+        Conv output maps and pool maps are independent; they are built
+        into :class:`MapTask` units and dispatched through the pass
+        executor — in-process when ``config.effective_sim_workers`` is 1,
+        over a process pool otherwise.  Outcomes are folded in task
+        order, so the parallel path is bit-identical to the serial one.
+        ``options.memo_dir`` is ignored: ``memo`` is the store, or None.
+        """
         # Host wall-clock only (LayerRun.host_seconds); never feeds any
         # simulated result.  nclint: allow(NC101) host-side timing
         started = time.perf_counter()
         functional = layer is not None and input_tensor is not None
-        session = current_session()
-        trace_options = self.trace_options
-        if trace_options is None and session is not None:
-            trace_options = session.options
-        fault_session = current_fault_session()
-        faults = self.faults if self.faults is not None else self.config.faults
-        if faults is None and fault_session is not None:
-            faults = fault_session.config
-        checkpoint = self.checkpoint
-        if checkpoint is None:
-            checkpoint_session = current_checkpoint_session()
-            if checkpoint_session is not None:
-                checkpoint = checkpoint_session.spec
+        trace_options, faults, checkpoint = (options.trace, options.faults,
+                                             options.checkpoint)
         # Degraded mode: with nonzero fault rates some neurons may never
         # write back (exhausted retries on their write-back path);
         # assemble_output zero-fills them instead of raising, and the
@@ -780,7 +798,6 @@ class NeurocubeSimulator:
         if layer is not None:
             act = layer.activation
             lut = act if isinstance(act, ActivationLUT) else ActivationLUT(act)
-        memo = self._resolve_memo()
         if memo is not None:
             # Bill the store's disk I/O to the memo_io phase while a
             # live session is ambient (None clears the hook otherwise).
@@ -857,23 +874,6 @@ class NeurocubeSimulator:
             if run.degraded:
                 meta["degraded_results"] = len(run.degraded)
             run.trace.meta.update(meta)
-        if session is not None:
-            session.add_run(desc.name, run.trace, run.cycles,
-                            run.host_seconds, stats=run.to_stats(),
-                            config=self.config, descriptor=desc)
-        live = current_live()
-        if live is not None:
-            live.observe_layer(
-                desc.name, run.cycles, run.host_seconds,
-                n_pe=self.config.n_pe, macs_fired=run.macs_fired,
-                pe_busy_cycles=run.pe_busy_cycles,
-                search_stall_cycles=run.search_stall_cycles,
-                inject_stall_cycles=run.inject_stall_cycles,
-                packets=run.packets, degraded=len(run.degraded),
-                memo_stats=run.memo_stats)
-        if fault_session is not None and run.fault_stats is not None:
-            fault_session.add_run(desc.name, run.fault_stats,
-                                  run.degraded)
         return run
 
     def _run_tasks(self, desc: LayerDescriptor, lut, functional: bool,
@@ -896,8 +896,10 @@ class NeurocubeSimulator:
         # The persistent store only ever serves memoizable runs, and
         # never checkpointed ones: a replayed pass writes no snapshots,
         # so a checkpointed run must actually simulate to keep its
-        # resume contract.
-        if not memoize or checkpoint is not None:
+        # resume contract.  Nor injected ones: even a rate-0 injector
+        # attaches (zeroed) fault counters, and the store's config
+        # fingerprint does not record whether an injector was present.
+        if not memoize or checkpoint is not None or faults is not None:
             memo = None
         return executor.run(self.config, desc, lut, functional, tasks,
                             trace=trace, memoize=memoize, faults=faults,
@@ -989,6 +991,59 @@ class NeurocubeSimulator:
     # whole-network runs (small networks only)
     # ------------------------------------------------------------------
 
+    def run_program(self, program: NeurocubeProgram, network: Network,
+                    x: np.ndarray | None = None) -> tuple[
+                        np.ndarray | None, RunReport]:
+        """Run a compiled program layer by layer: the one network loop.
+
+        Functional when ``x`` is given: ``x`` is quantised on entry, each
+        layer's simulated output feeds the next, and ``Flatten`` is a
+        host-side reshape.  Timing-only otherwise: every compute layer
+        runs without tensors and the returned output is None.  Every
+        layer goes through :meth:`run_descriptor`.  Observed runs
+        (tracing or live telemetry on) get the post-run bottleneck
+        verdicts; attribution only *reads* the report, so results are
+        identical either way.
+
+        Raises :class:`MappingError` when a compute layer of ``network``
+        has no descriptor in ``program``.
+        """
+        from repro.fixedpoint import quantize_float
+
+        functional = x is not None
+        descriptors = {d.layer_index: d for d in program.descriptors}
+        current = (quantize_float(np.asarray(x, dtype=np.float64),
+                                  self.config.qformat)
+                   if functional else None)
+        report = RunReport(network_name=network.name,
+                           f_clk_hz=self.config.f_pe_hz,
+                           peak_gops=self.config.peak_gops, source="cycle")
+        for index, layer in enumerate(network.layers):
+            if isinstance(layer, Flatten):
+                if functional:
+                    current = current.reshape(-1)
+                continue
+            desc = descriptors.get(index)
+            if desc is None:
+                raise MappingError(
+                    f"layer {layer.name!r} missing from program")
+            run = (self.run_descriptor(desc, layer, current) if functional
+                   else self.run_descriptor(desc))
+            report.layers.append(run.to_stats())
+            report.host_seconds += run.host_seconds
+            report.degraded.extend(run.degraded)
+            if run.memo_stats is not None:
+                if report.memo is None:
+                    from repro.memo.store import MemoStats
+
+                    report.memo = MemoStats()
+                report.memo.merge(run.memo_stats)
+            current = run.output
+        if self._options().trace is not None or current_live() is not None:
+            report.attribution = attribute_report(
+                report, self.config, program.descriptors)
+        return current, report
+
     def run_network(self, network: Network, x: np.ndarray,
                     duplicate: bool = True,
                     cubes: int = 1,
@@ -996,12 +1051,12 @@ class NeurocubeSimulator:
                                                            RunReport]:
         """Simulate a full network on one input sample, layer by layer.
 
-        ``x`` is quantised on entry; each layer's simulated output feeds
-        the next, with ``Flatten`` applied as a host-side reshape.  Only
-        practical for small networks — use the analytic model for
-        paper-scale ones.  With ``cubes > 1`` the network is sharded
-        across a multi-cube cluster (:mod:`repro.core.shard`) and the
-        returned report is the cluster-level fold; the full
+        Compiles the network, then runs it functionally through
+        :meth:`run_program`.  Only practical for small networks — use
+        the analytic model for paper-scale ones.  With ``cubes > 1`` the
+        network is sharded across a multi-cube cluster
+        (:mod:`repro.core.shard`) and the returned report is the
+        cluster-level fold; the full
         :class:`~repro.core.shard.ShardRunReport` is available through
         :class:`~repro.core.shard.ShardedSimulator` directly.
         ``validate`` statically verifies the sharded plan
@@ -1010,8 +1065,6 @@ class NeurocubeSimulator:
         (single-cube compiles consult the same switch inside
         :func:`~repro.core.compiler.compile_inference`).
         """
-        from repro.fixedpoint import quantize_float
-
         if cubes > 1:
             from repro.core.multicube import MultiCubeConfig
             from repro.core.shard import ShardedSimulator
@@ -1026,59 +1079,22 @@ class NeurocubeSimulator:
         with ambient_phase("compile"):
             program = compile_inference(network, self.config, duplicate,
                                         validate=validate)
-        descriptors = {d.layer_index: d for d in program.descriptors}
-        current = quantize_float(np.asarray(x, dtype=np.float64),
-                                 self.config.qformat)
-        report = RunReport(network_name=network.name,
-                           f_clk_hz=self.config.f_pe_hz,
-                           peak_gops=self.config.peak_gops, source="cycle")
-        for index, layer in enumerate(network.layers):
-            if isinstance(layer, Flatten):
-                current = current.reshape(-1)
-                continue
-            desc = descriptors.get(index)
-            if desc is None:
-                raise MappingError(
-                    f"layer {layer.name!r} missing from program")
-            run = self.run_descriptor(desc, layer, current)
-            report.layers.append(run.to_stats())
-            report.host_seconds += run.host_seconds
-            report.degraded.extend(run.degraded)
-            self._fold_memo_stats(report, run)
-            current = run.output
-        if current_session() is not None or current_live() is not None:
-            # Observed runs get the post-run bottleneck verdicts; the
-            # bare path skips the analysis entirely (same guard
-            # convention as tracing — results are identical either way,
-            # attribution only *reads* the report).
-            report.attribution = attribute_report(
-                report, self.config, program.descriptors)
-        return current, report
-
-    @staticmethod
-    def _fold_memo_stats(report: RunReport, run: LayerRun) -> None:
-        """Accumulate a layer's memo counters onto the report."""
-        if run.memo_stats is None:
-            return
-        if report.memo is None:
-            from repro.memo.store import MemoStats
-
-            report.memo = MemoStats()
-        report.memo.merge(run.memo_stats)
+        return self.run_program(program, network, x)
 
     def run_stream(self, network: Network, frames,
                    duplicate: bool = True) -> StreamReport:
         """Simulate a stream of frames: timing once, data per frame.
 
         The *cold* phase compiles the network and cycle-simulates every
-        compute layer timing-only — memoized, and persisted when a memo
-        store is resolved, so a later stream over the same shapes
-        replays timing from disk.  The *warm* phase then pushes each
-        frame through the functional fixed-point path only, which is
-        bit-exact against the simulator's assembled outputs (pinned by
-        the integration equivalence tests) — so every streamed frame
-        gets real outputs plus the cold phase's exact cycle counts,
-        without re-simulating data-independent timing per frame.
+        compute layer timing-only (:meth:`run_program` without input) —
+        memoized, and persisted when a memo store is resolved, so a
+        later stream over the same shapes replays timing from disk.  The
+        *warm* phase then pushes each frame through the functional
+        fixed-point path only, which is bit-exact against the
+        simulator's assembled outputs (pinned by the integration
+        equivalence tests) — so every streamed frame gets real outputs
+        plus the cold phase's exact cycle counts, without re-simulating
+        data-independent timing per frame.
 
         Bit-exactness holds when weighted layers carry a quantisation
         format and :class:`~repro.nn.activations.ActivationLUT`-wrapped
@@ -1095,21 +1111,7 @@ class NeurocubeSimulator:
         started = time.perf_counter()
         with ambient_phase("compile"):
             program = compile_inference(network, self.config, duplicate)
-        descriptors = {d.layer_index: d for d in program.descriptors}
-        cold = RunReport(network_name=network.name,
-                         f_clk_hz=self.config.f_pe_hz,
-                         peak_gops=self.config.peak_gops, source="cycle")
-        for index, layer in enumerate(network.layers):
-            if isinstance(layer, Flatten):
-                continue
-            desc = descriptors.get(index)
-            if desc is None:
-                raise MappingError(
-                    f"layer {layer.name!r} missing from program")
-            run = self.run_descriptor(desc)
-            cold.layers.append(run.to_stats())
-            cold.host_seconds += run.host_seconds
-            self._fold_memo_stats(cold, run)
+        _, cold = self.run_program(program, network)
         # nclint: allow(NC101) host-side timing
         cold_done = time.perf_counter()
         outputs = []

@@ -8,8 +8,9 @@ the faulted outputs drift from the fault-free run, with and without the
 SECDED ECC model.
 
 Every point is one functional whole-network cycle simulation under a
-:class:`repro.faults.FaultSession`; the injected fault set is a pure
-function of (seed, rate, ecc), so the sweep is exactly reproducible.
+:class:`repro.obs.RunSession` carrying the fault configuration; the
+injected fault set is a pure function of (seed, rate, ecc), so the sweep
+is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from repro.core import NeurocubeSimulator
 from repro.core.config import NeurocubeConfig
 from repro.experiments.registry import register
-from repro.faults import ECC_MODES, FaultConfig, FaultSession
+from repro.faults import ECC_MODES, FaultConfig
 from repro.nn import models
+from repro.obs import RunSession
 
 #: Per-bit error rates swept (0 is the identity sanity point).
 BIT_ERROR_RATES = (0.0, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -115,10 +117,10 @@ def run(bit_error_rates=BIT_ERROR_RATES, ecc_modes=ECC_MODES,
         for ber in bit_error_rates:
             faults = FaultConfig(seed=fault_seed, dram_bitflip_rate=ber,
                                  ecc=ecc)
-            with FaultSession(faults) as session:
+            with RunSession(faults=faults) as session:
                 output, report = NeurocubeSimulator(config).run_network(
                     net, image)
-            stats = session.total_stats()
+            stats = session.fault_stats()
             error = np.abs(np.asarray(output) - np.asarray(clean))
             result.points.append(ResiliencePoint(
                 ber=ber, ecc=ecc,

@@ -8,28 +8,30 @@ Usage::
     neurocube-experiments run fig12 --json   # machine-readable output
     neurocube-experiments run fig15a --trace --trace-dir out/
 
-With ``--trace``, each experiment runs inside an ambient
-:class:`repro.obs.TraceSession`: every cycle-simulator descriptor run it
-performs is traced, and a ``manifest_<id>.json`` (plus a
-``trace_<id>.json`` when any runs were captured) lands in the trace
-directory.  Experiments that never touch the cycle simulator still get a
-manifest recording that zero runs were captured.
+Each experiment runs inside one ambient :class:`repro.obs.RunSession`
+built from the flags below; every cycle-simulator descriptor run it
+performs resolves its options against that session (an option the
+simulator was given explicitly wins) and is recorded there.
+
+With ``--trace``, every descriptor run is traced, and a
+``manifest_<id>.json`` (plus a ``trace_<id>.json`` when any traced runs
+were captured) lands in the trace directory.  Experiments that never
+touch the cycle simulator still get a manifest recording that zero runs
+were captured.
 
 With ``--faults SPEC`` (``key=value,...`` pairs of
 :class:`repro.faults.FaultConfig` fields, e.g.
-``seed=3,dram_bitflip_rate=1e-4,ecc=secded``), each experiment runs
-inside an ambient :class:`repro.faults.FaultSession`: every cycle-
-simulated descriptor run injects deterministic faults and a summary of
-the fault counters is printed to stderr.  ``--checkpoint-every N``
-(with ``--checkpoint-dir``) snapshots every pass periodically, and
+``seed=3,dram_bitflip_rate=1e-4,ecc=secded``), every cycle-simulated
+descriptor run injects deterministic faults and a summary of the fault
+counters is printed to stderr.  ``--checkpoint-every N`` (with
+``--checkpoint-dir``) snapshots every pass periodically, and
 ``--resume-from DIR`` resumes each pass from its newest snapshot —
 together they let a long sweep survive a crash and continue
 bit-identically.
 
-With ``--memo-dir DIR``, each experiment runs inside an ambient
-:class:`repro.memo.MemoSession`: memoized timing-pass outcomes are
-loaded from and stored to a persistent store under ``DIR``, so a rerun
-replays timing from disk bit-identically.  Counters are printed to
+With ``--memo-dir DIR``, memoized timing-pass outcomes are loaded from
+and stored to a persistent store under ``DIR``, so a rerun replays
+timing from disk bit-identically.  Counters are printed to
 stderr per experiment (``[memo] ...``) and, with ``--json``, folded
 into the top-level ``__memo__`` key.  ``--stream N`` streams N frames
 through streaming-capable experiments (``ext_stream``): timing is
@@ -196,8 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.faults import FaultConfig
 
         faults = FaultConfig.from_spec(fault_spec)
-    checkpoint = _checkpoint_spec(args)
-    memo = _memo_settings(args)
+    options = {"faults": faults, "checkpoint": _checkpoint_spec(args),
+               "memo_dir": getattr(args, "memo_dir", None),
+               "memo_max_bytes": getattr(args, "memo_max_bytes", None)}
     stream = getattr(args, "stream", None)
     if stream is not None:
         from repro.experiments import ext_stream
@@ -225,20 +228,18 @@ def main(argv: list[str] | None = None) -> int:
         for exp_id in ids:
             experiment = get_experiment(exp_id)
             if tracing:
-                result, memo_stats = _run_traced(
-                    experiment, args.trace_dir, faults=faults,
-                    checkpoint=checkpoint, memo=memo,
+                result, session = _run_traced(
+                    experiment, args.trace_dir, options,
                     heartbeat=heartbeat, registry=registry)
             else:
-                result, memo_stats = _run_live(
-                    experiment, faults, checkpoint, memo=memo,
-                    heartbeat=heartbeat)
-            if memo_stats is not None:
+                result, session = _run_live(experiment, options,
+                                            heartbeat=heartbeat)
+            if session.options.memo_dir is not None:
                 if memo_totals is None:
                     from repro.memo import MemoStats
 
                     memo_totals = MemoStats()
-                memo_totals.merge(memo_stats)
+                memo_totals.merge(session.memo_stats())
             if as_json:
                 collected[exp_id] = serialize(result)
             else:
@@ -265,14 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _memo_settings(args) -> tuple[str, int | None] | None:
-    """(directory, max_bytes) from the CLI flags, or None."""
-    memo_dir = getattr(args, "memo_dir", None)
-    if memo_dir is None:
-        return None
-    return (memo_dir, getattr(args, "memo_max_bytes", None))
-
-
 def _checkpoint_spec(args):
     """Build a CheckpointSpec from the CLI flags, or None."""
     every = getattr(args, "checkpoint_every", 0)
@@ -288,52 +281,32 @@ def _checkpoint_spec(args):
 
 
 def _fault_summary(exp_id: str, session) -> None:
-    """Print a fault session's folded counters to stderr."""
-    stats = session.total_stats()
-    nonzero = {name: value for name, value in stats.as_dict().items()
-               if value}
+    """Print a session's folded fault counters to stderr."""
+    nonzero = {name: value for name, value
+               in session.fault_stats().as_dict().items() if value}
     degraded = sum(len(run.degraded) for run in session.runs)
     print(f"[faults] {exp_id}: {len(session.runs)} runs, "
           f"counters {nonzero or '{}'}, {degraded} degraded results",
           file=sys.stderr)
 
 
-def _memo_summary(exp_id: str, session) -> None:
-    """Print a memo session's folded counters to stderr."""
-    stats = session.total_stats()
-    print(f"[memo] {exp_id}: {stats.format()}", file=sys.stderr)
+def _run_sessioned(experiment, options: dict):
+    """Run one experiment inside one :class:`repro.obs.RunSession`.
 
-
-def _run_sessioned(experiment, faults, checkpoint, memo=None):
-    """Run one experiment inside the ambient sessions.
-
-    Returns ``(result, memo_stats)`` — the second element is the memo
-    session's folded counters, or None when ``--memo-dir`` is off.
+    ``options`` are the session's :class:`repro.obs.RunOptions` fields,
+    built from the CLI flags.  Prints the ``[faults]`` / ``[memo]``
+    summaries when those flags are on; returns ``(result, session)``.
     """
-    import contextlib
+    from repro.obs import RunSession
 
-    from repro.faults import CheckpointSession, FaultSession
-
-    memo_stats = None
-    with contextlib.ExitStack() as stack:
-        fault_session = None
-        if faults is not None:
-            fault_session = stack.enter_context(FaultSession(faults))
-        if checkpoint is not None:
-            stack.enter_context(CheckpointSession(checkpoint))
-        if memo is not None:
-            from repro.memo import MemoSession
-
-            directory, max_bytes = memo
-            memo_session = stack.enter_context(
-                MemoSession(directory, max_bytes=max_bytes))
+    with RunSession(**options) as session:
         result = experiment.run()
-        if fault_session is not None:
-            _fault_summary(experiment.exp_id, fault_session)
-        if memo is not None:
-            _memo_summary(experiment.exp_id, memo_session)
-            memo_stats = memo_session.total_stats()
-    return result, memo_stats
+    if session.options.faults is not None:
+        _fault_summary(experiment.exp_id, session)
+    if session.options.memo_dir is not None:
+        print(f"[memo] {experiment.exp_id}: "
+              f"{session.memo_stats().format()}", file=sys.stderr)
+    return result, session
 
 
 def _live_summary(exp_id: str, live) -> None:
@@ -345,27 +318,26 @@ def _live_summary(exp_id: str, live) -> None:
           f"phases {phases or 'none'}", file=sys.stderr)
 
 
-def _run_live(experiment, faults, checkpoint, memo=None, heartbeat=0):
+def _run_live(experiment, options: dict, heartbeat=0):
     """Untraced run, optionally inside a live-telemetry session."""
     if not heartbeat:
-        return _run_sessioned(experiment, faults, checkpoint, memo=memo)
+        return _run_sessioned(experiment, options)
     from repro.obs import LiveTelemetry
 
     with LiveTelemetry(heartbeat_cycles=heartbeat) as live:
-        result, memo_stats = _run_sessioned(experiment, faults,
-                                            checkpoint, memo=memo)
+        outcome = _run_sessioned(experiment, options)
     _live_summary(experiment.exp_id, live)
-    return result, memo_stats
+    return outcome
 
 
-def _run_traced(experiment, trace_dir: str, faults=None, checkpoint=None,
-                memo=None, heartbeat=0, registry=None):
-    """Run one experiment inside a trace session; write its artifacts."""
+def _run_traced(experiment, trace_dir: str, options: dict, heartbeat=0,
+                registry=None):
+    """Traced run of one experiment; writes its artifacts."""
     import contextlib
 
     from repro.obs import (
         LiveTelemetry,
-        TraceSession,
+        TraceOptions,
         manifest_from_session,
         write_manifest,
         write_trace,
@@ -379,17 +351,15 @@ def _run_traced(experiment, trace_dir: str, faults=None, checkpoint=None,
             heartbeat_cycles=heartbeat,
             heartbeat_path=str(
                 out_dir / f"heartbeats_{experiment.exp_id}.jsonl"))
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
-        session = stack.enter_context(TraceSession())
-        result, memo_stats = _run_sessioned(experiment, faults,
-                                            checkpoint, memo=memo)
-    if session.runs:
+    with live if live is not None else contextlib.nullcontext():
+        result, session = _run_sessioned(
+            experiment, {**options, "trace": TraceOptions()})
+    trace = session.merged_trace()
+    if trace is not None:
         trace_path = out_dir / f"trace_{experiment.exp_id}.json"
         with (live.phase("trace_export") if live is not None
               else contextlib.nullcontext()):
-            write_trace(session.merged_trace(), str(trace_path))
+            write_trace(trace, str(trace_path))
         print(f"[trace] wrote {trace_path} "
               f"({session.total_cycles} cycles, "
               f"{len(session.runs)} runs)", file=sys.stderr)
@@ -410,7 +380,7 @@ def _run_traced(experiment, trace_dir: str, faults=None, checkpoint=None,
             manifest, attribution=manifest.get("attribution") or (),
             label=experiment.exp_id)
         print(f"[registry] recorded {record_path}", file=sys.stderr)
-    return result, memo_stats
+    return result, session
 
 
 if __name__ == "__main__":

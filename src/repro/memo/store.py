@@ -110,9 +110,9 @@ def memo_fingerprint(config: NeurocubeConfig) -> str:
 
     Two configurations share memo entries iff their fingerprints match.
     Host-side knobs (:data:`_HOST_ONLY_FIELDS`) are excluded because
-    they are proven not to change simulated results; the fault
-    configuration is *included* — a rate-0 injector attaches (zeroed)
-    fault counters to outcomes, so its presence is outcome-relevant.
+    they are proven not to change simulated results.  Fault injection
+    is not part of the configuration; runs with an injector attached
+    never use the store (see ``NeurocubeSimulator._run_tasks``).
     """
     digest = hashlib.sha256()
     digest.update(b"memo-version:%d;" % MEMO_VERSION)

@@ -11,10 +11,11 @@ how to open traces in Perfetto.
 The package has three entry points:
 
 * explicit — ``NeurocubeSimulator(config, trace=TraceOptions())``;
-* ambient — ``with TraceSession() as session: ...`` captures every
-  descriptor run in the block (how the runner's ``--trace`` works);
-  ``with LiveTelemetry(...)`` likewise activates phase timers and
-  heartbeats for the block;
+* ambient — ``with RunSession(trace=TraceOptions()) as session: ...``
+  traces and captures every descriptor run in the block (how the
+  runner's ``--trace`` works; the same session carries faults,
+  checkpoints and the memo directory); ``with LiveTelemetry(...)``
+  likewise activates phase timers and heartbeats for the block;
 * CLI — ``tools/ncprof.py record | summary | export | diff |
   attribute`` and ``tools/ncbench.py record | timeline | regress |
   export``.
@@ -53,7 +54,13 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.registry import RunRegistry
-from repro.obs.session import CapturedRun, TraceSession, current_session
+from repro.obs.runsession import (
+    CapturedRun,
+    RunOptions,
+    RunSession,
+    current_run_session,
+    resolve_options,
+)
 from repro.obs.tracer import (
     ALL_KINDS,
     CACHE_EVICT,
@@ -86,25 +93,27 @@ __all__ = [
     "NOC_HOP",
     "PHASES",
     "PNG_INJECT",
+    "RunOptions",
     "RunRegistry",
+    "RunSession",
     "SKIP_AHEAD",
     "SPAN_KINDS",
     "SUPPORTED_MANIFEST_VERSIONS",
     "Trace",
     "TraceOptions",
-    "TraceSession",
     "Tracer",
     "VAULT_READ",
     "ambient_phase",
     "build_manifest",
     "config_digest",
     "current_live",
-    "current_session",
+    "current_run_session",
     "diff_manifests",
     "git_revision",
     "load_manifest",
     "load_trace",
     "manifest_from_session",
+    "resolve_options",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_counters_csv",

@@ -15,7 +15,7 @@ export two ways:
   appended to ``heartbeat_path``) — one JSON object per heartbeat, for
   offline trend analysis without a scrape target.
 
-Activation mirrors :class:`repro.obs.session.TraceSession`: a
+Activation mirrors :class:`repro.obs.RunSession`: a
 :class:`LiveTelemetry` is a context manager; while one is active the
 simulator feeds it (compile/simulate phases, per-layer counters,
 heartbeat cycle advance) through ``is not None`` guards.  With no

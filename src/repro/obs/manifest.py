@@ -143,14 +143,14 @@ def build_manifest(label: str, *, config=None, layers=(), seed=None,
 
 def manifest_from_session(label: str, session, extra=None,
                           phases: dict | None = None) -> dict:
-    """Build a manifest from a finished :class:`TraceSession`.
+    """Build a manifest from a finished :class:`repro.obs.RunSession`.
 
     When the session captured descriptors alongside its stats (and a
     config), per-layer bottleneck attribution is computed and embedded
     — the manifest carries the verdicts that explain its own numbers.
     """
     layers = [run.stats for run in session.runs if run.stats is not None]
-    trace = session.merged_trace() if session.runs else None
+    trace = session.merged_trace()
     attribution = ()
     descriptors = getattr(session, "descriptors", [])
     if session.config is not None and descriptors and layers:

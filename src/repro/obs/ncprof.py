@@ -31,8 +31,8 @@ import sys
 from repro.errors import SchemaMismatch
 from repro.obs import (
     Trace,
+    RunSession,
     TraceOptions,
-    TraceSession,
     diff_manifests,
     load_manifest,
     load_trace,
@@ -70,7 +70,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         heartbeat_cycles=args.heartbeat,
         heartbeat_path=(str(heartbeat_path)
                         if heartbeat_path is not None else None))
-    with live, TraceSession(options=options) as session:
+    with live, RunSession(trace=options) as session:
         NeurocubeSimulator(config).run_network(
             net, np.zeros((1, args.size, args.size)))
     trace_path = out_dir / f"trace_{args.label}.json"

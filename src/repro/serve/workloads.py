@@ -117,50 +117,6 @@ def _load_program(config, network, program_bytes, plan_hashes):
     return compile_inference(network, config), False, True
 
 
-def _run_layers(simulator, network, program, x):
-    """Per-layer functional run of a precompiled program.
-
-    The body of :meth:`NeurocubeSimulator.run_network` minus its
-    internal compile — the service compiles (or cache-loads) once per
-    distinct plan, not once per job.
-    """
-    from repro.fixedpoint import quantize_float
-    from repro.nn.layers import Flatten
-
-    descriptors = {d.layer_index: d for d in program.descriptors}
-    current = quantize_float(np.asarray(x, dtype=np.float64),
-                             simulator.config.qformat)
-    cycles = 0
-    for index, layer in enumerate(network.layers):
-        if isinstance(layer, Flatten):
-            current = current.reshape(-1)
-            continue
-        run = simulator.run_descriptor(descriptors[index], layer, current)
-        cycles += run.cycles
-        current = run.output
-    return current, cycles
-
-
-def _timing_cycles(simulator, network, program):
-    """Timing-only cycles of every compute layer of a program."""
-    from repro.nn.layers import Flatten
-
-    descriptors = {d.layer_index: d for d in program.descriptors}
-    cycles = 0
-    memo = None
-    for index, layer in enumerate(network.layers):
-        if isinstance(layer, Flatten):
-            continue
-        run = simulator.run_descriptor(descriptors[index])
-        cycles += run.cycles
-        if run.memo_stats is not None:
-            if memo is None:
-                memo = run.memo_stats
-            else:
-                memo.merge(run.memo_stats)
-    return cycles, memo
-
-
 def _no_chaos(stage: str, index: int = 0) -> None:
     return None
 
@@ -206,9 +162,9 @@ def execute_job(spec, job_id: str, context: dict,
 
     if spec.workload == "inference":
         frame = job_frames(spec.seed, 1)[0]
-        output, cycles = _run_layers(simulator, network, program, frame)
-        result = {"output_digest": _digest(output), "cycles": cycles,
-                  "detail": {"frames": 1}}
+        output, report = simulator.run_program(program, network, frame)
+        result = {"output_digest": _digest(output),
+                  "cycles": report.total_cycles, "detail": {"frames": 1}}
     elif spec.workload == "streaming":
         result = _run_streaming(spec, simulator, network, program,
                                 chaos_probe)
@@ -231,18 +187,19 @@ def _run_streaming(spec, simulator, network, program, chaos_probe) -> dict:
     """Streaming job: timing once (memo-served when warm), frames warm.
 
     The cold timing phase is the memoizable part — with a persistent
-    memo store ambient in the worker a warm submission replays timing
+    memo store in the worker a warm submission replays timing
     from disk and only runs the functional fast path per frame.
     """
     from repro.fixedpoint import quantize_float
 
-    cycles, memo_stats = _timing_cycles(simulator, network, program)
+    _, report = simulator.run_program(program, network)
     outputs = []
     for index, frame in enumerate(job_frames(spec.seed, spec.frames)):
         chaos_probe("frame", index)
         quantized = quantize_float(frame, simulator.config.qformat)
         outputs.append(network.forward(quantized[np.newaxis])[0])
-    return {"output_digest": _digest(*outputs), "cycles": cycles,
+    return {"output_digest": _digest(*outputs),
+            "cycles": report.total_cycles,
             "detail": {"frames": len(outputs)}}
 
 

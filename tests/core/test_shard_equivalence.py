@@ -12,6 +12,8 @@ every cluster size (row/neuron partitioning never changes arithmetic).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.nn.activations import Sigmoid, Tanh
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.models import fully_connected_classifier, small_lstm
 from repro.nn.network import Network
+from repro.obs import RunSession, TraceOptions
 
 LOCK_STEP = NeurocubeConfig(sim_skip_ahead=False)
 SKIP_AHEAD = NeurocubeConfig(sim_skip_ahead=True)
@@ -222,6 +225,31 @@ class TestFaultEquivalence:
         assert serial.fault_stats.intercube_frames_lost > 0
         kinds = {d.kind for d in serial.report.degraded}
         assert "intercube_frame_lost" in kinds
+
+
+class TestSessionParity:
+    def test_session_sees_serial_and_pooled_runs_alike(self, tmp_path):
+        """Cube jobs take their options from the parent and never read a
+        session: under one session with trace and memo set, serial and
+        pooled runs report and record identically."""
+        net = Network([Conv2D(2, 3, activation=Tanh(), name="conv")],
+                      input_shape=(1, 16, 16), name="session_conv", seed=3)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 16, 16))
+        mc = cluster(SKIP_AHEAD, 2)
+        seen = {}
+        for workers in (1, 2):
+            with RunSession(trace=TraceOptions(),
+                            memo_dir=tmp_path / f"memo{workers}") as session:
+                simulator = ShardedSimulator(mc, workers=workers)
+                _, functional = simulator.run_network(net, x)
+                timing = simulator.run_timing(net)
+            seen[workers] = (functional, timing, len(session.runs))
+        for serial, parallel in zip(seen[1][:2], seen[2][:2], strict=True):
+            assert_reports_identical(serial, parallel)
+            assert (dataclasses.replace(serial.report, host_seconds=0.0)
+                    == dataclasses.replace(parallel.report,
+                                           host_seconds=0.0))
+        assert seen[1][2] == seen[2][2]
 
 
 class TestCheckpointAcrossCubes:

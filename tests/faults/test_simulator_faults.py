@@ -26,9 +26,10 @@ import pytest
 from repro.core import NeurocubeSimulator, compile_inference
 from repro.core.config import NeurocubeConfig
 from repro.errors import SimulationError
-from repro.faults import CheckpointSpec, FaultConfig, FaultSession
+from repro.faults import CheckpointSpec, FaultConfig
 from repro.fixedpoint import quantize_float
 from repro.nn import models
+from repro.obs import RunSession, TraceOptions
 
 #: LayerRun statistics that must fold identically across engine modes.
 STAT_FIELDS = ("cycles", "packets", "macs_fired", "pe_busy_cycles",
@@ -297,19 +298,31 @@ class TestCheckpointResume:
 class TestAmbientSession:
     def test_session_config_applies_and_captures(self, config,
                                                  lateral_case):
-        with FaultSession(LOSSY) as session:
+        with RunSession(faults=LOSSY) as session:
             run = run_case(config, lateral_case)
         assert nonzero(run.fault_stats) == LOSSY_COUNTERS
         assert len(session.runs) == 1
-        assert nonzero(session.total_stats()) == LOSSY_COUNTERS
+        assert nonzero(session.fault_stats()) == LOSSY_COUNTERS
         assert len(session.runs[0].degraded) == LOSSY_DEGRADED
 
     def test_explicit_config_beats_ambient(self, config, lateral_case):
-        with FaultSession(LOSSY) as session:
+        with RunSession(faults=LOSSY) as session:
             run = run_case(config, lateral_case, faults=FaultConfig())
         assert not run.fault_stats.any_injected
         assert len(session.runs) == 1
-        assert not session.total_stats().any_injected
+        assert not session.fault_stats().any_injected
+
+    def test_nested_sessions_compose(self, config, lateral_case):
+        """An inner session's unset fields inherit from the outer one,
+        and the run is recorded in both."""
+        with RunSession(trace=TraceOptions()) as outer:
+            with RunSession(faults=LOSSY) as inner:
+                run = run_case(config, lateral_case)
+        assert run.trace is not None
+        assert nonzero(run.fault_stats) == LOSSY_COUNTERS
+        assert len(outer.runs) == len(inner.runs) == 1
+        assert outer.merged_trace() is not None
+        assert nonzero(outer.fault_stats()) == LOSSY_COUNTERS
 
     def test_no_session_no_faults(self, config, lateral_case):
         assert run_case(config, lateral_case).fault_stats is None

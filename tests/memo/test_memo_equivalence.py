@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
-from repro.memo import MemoSession, MemoStore, current_memo_session
+from repro.memo import MemoStore
 from repro.nn import models
+from repro.obs import RunSession, current_run_session
 
 CONFIG = NeurocubeConfig.hmc_15nm()
 
@@ -61,13 +62,13 @@ class TestWarmColdEquivalence:
 
     def test_ambient_session_serves_runs(self, tmp_path):
         desc = conv_descriptor()
-        assert current_memo_session() is None
-        with MemoSession(tmp_path) as session:
-            assert current_memo_session() is session
+        assert current_run_session() is None
+        with RunSession(memo_dir=tmp_path) as session:
+            assert current_run_session() is session
             cold = timing_run(CONFIG, desc)
             warm = timing_run(CONFIG, desc)
-            assert session.total_stats().hits >= 1
-        assert current_memo_session() is None
+            assert session.memo_stats().hits >= 1
+        assert current_run_session() is None
         assert_runs_identical(cold, warm)
 
     def test_distinct_shapes_never_cross_hit(self, tmp_path):
@@ -150,7 +151,7 @@ class TestRunNetworkReport:
     def test_memo_line_in_stream_table(self, tmp_path):
         from repro.experiments import ext_stream
 
-        with MemoSession(tmp_path):
+        with RunSession(memo_dir=tmp_path):
             report = ext_stream.run(frames=2)
         assert report.memo is not None
         table = report.to_table()
@@ -170,3 +171,17 @@ class TestMemoizeGates:
         else:
             assert not run.memo_stats.any
             assert not list(tmp_path.glob("*/*.pkl"))
+
+    def test_rate0_faults_bypass_the_store(self, tmp_path):
+        # A rate-0 injector still attaches (zeroed) fault counters to
+        # outcomes, and the config fingerprint does not record it, so
+        # injected runs neither load from nor store to the store.
+        from repro.faults import FaultConfig
+
+        desc = conv_descriptor()
+        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
+        timing_run(config, desc)
+        run = NeurocubeSimulator(config, faults=FaultConfig()).run_descriptor(
+            desc)
+        assert not run.memo_stats.any
+        assert run.fault_stats is not None

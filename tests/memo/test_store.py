@@ -143,14 +143,6 @@ class TestInvisibility:
         assert memo_fingerprint(
             CONFIG.with_(noc_topology="fully_connected")) != base
 
-    def test_rate0_faults_change_the_fingerprint(self):
-        # A rate-0 injector still attaches (zeroed) fault counters to
-        # outcomes, so its presence is outcome-relevant.
-        from repro.faults import FaultConfig
-
-        assert memo_fingerprint(
-            CONFIG.with_(faults=FaultConfig())) != memo_fingerprint(CONFIG)
-
 
 class TestEviction:
     def test_lru_evicts_oldest_first(self, tmp_path):

@@ -13,8 +13,8 @@ from repro.core import NeurocubeSimulator, compile_inference
 from repro.errors import SchemaMismatch
 from repro.nn import models
 from repro.obs import (
+    RunSession,
     TraceOptions,
-    TraceSession,
     diff_manifests,
     load_manifest,
     manifest_from_session,
@@ -37,7 +37,7 @@ def traced(tmp_path_factory):
     config = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(12, 12, 3, qformat=None)
     program = compile_inference(net, config)
-    with TraceSession(options=TraceOptions(sample_interval=32)) as sess:
+    with RunSession(trace=TraceOptions(sample_interval=32)) as sess:
         NeurocubeSimulator(config).run_descriptor(
             program.descriptors[0])
     stats = [run.stats for run in sess.runs]
@@ -89,7 +89,7 @@ class TestReportRendering:
     def test_run_network_attributes_under_session(self, config):
         net = models.single_conv_layer(10, 10, 3, seed=41)
         x = np.zeros((1, 10, 10))
-        with TraceSession():
+        with RunSession(trace=TraceOptions()):
             _, report = NeurocubeSimulator(config).run_network(net, x)
         assert report.attribution
         assert report.attribution[0].verdict in VERDICTS
@@ -103,6 +103,16 @@ class TestReportRendering:
             net, np.zeros((1, 10, 10)))
         assert report.attribution == []
         assert "ATTRIBUTION:" not in report.to_table()
+
+    def test_untraced_session_skips_attribution(self, config):
+        """A session alone (here: faults only) does not observe a run."""
+        from repro.faults import FaultConfig
+
+        net = models.single_conv_layer(10, 10, 3, seed=41)
+        with RunSession(faults=FaultConfig(seed=1)):
+            _, report = NeurocubeSimulator(config).run_network(
+                net, np.zeros((1, 10, 10)))
+        assert report.attribution == []
 
 
 class TestManifestSchema:

@@ -12,8 +12,8 @@ from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
 from repro.nn import models
 from repro.obs import (
     SPAN_KINDS,
+    RunSession,
     TraceOptions,
-    TraceSession,
     build_manifest,
     config_digest,
     diff_manifests,
@@ -36,7 +36,7 @@ def session():
     config = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(12, 12, 3, qformat=None)
     desc = compile_inference(net, config).descriptors[0]
-    with TraceSession(options=TraceOptions(sample_interval=32)) as sess:
+    with RunSession(trace=TraceOptions(sample_interval=32)) as sess:
         NeurocubeSimulator(config).run_descriptor(desc)
     return sess
 

@@ -159,12 +159,12 @@ class ProcessingElement:
         """All groups complete and all write-backs injected."""
         return (self._group_idx >= len(self._groups)
                 and not self._writebacks
-                and all(not bank for bank in self._cache))
+                and not any(self._cache))
 
     @property
     def cache_fill(self) -> int:
         """Packets currently parked across all cache sub-banks."""
-        return sum(len(bank) for bank in self._cache)
+        return sum(map(len, self._cache))
 
     @property
     def op_counter(self) -> int:
@@ -300,7 +300,7 @@ class ProcessingElement:
         else:
             bank = self._subbank(packet.op_id)
             bank.append(packet)
-            occupancy = sum(len(b) for b in self._cache)
+            occupancy = sum(map(len, self._cache))
             if occupancy > self.stats.cache_peak:
                 self.stats.cache_peak = occupancy
             if self._tracer is not None:

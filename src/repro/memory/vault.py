@@ -176,10 +176,15 @@ class VaultChannel:
         self.cycle += cycles
         # Accrue credit one cycle at a time: repeated `min(2, c + rate)`
         # is not `min(2, c + n*rate)` in floating point, and skip-ahead
-        # must be bit-identical to stepping.
+        # must be bit-identical to stepping.  Once the credit sits at
+        # its 2.0 ceiling it stays there (`min(2, 2 + rate) == 2` for
+        # any rate >= 0), so the walk stops early — a deadlock jump
+        # skips up to the stall limit, a million cycles.
         rate = self.timing.words_per_cycle
         credit = self._issue_credit
         for _ in range(cycles):
+            if credit >= 2.0:
+                break
             credit = min(2.0, credit + rate)
         self._issue_credit = credit
         if self._gap_remaining > 0:

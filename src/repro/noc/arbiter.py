@@ -61,30 +61,34 @@ class RotatingPriorityArbiter:
     def grant(self, requests: Iterable[int] | Sequence[bool]) -> int | None:
         """Pick the winning input for this cycle, or None if no requests.
 
+        The winner is the requester closest to the head in rotation
+        order, found in one pass over the requests (the router's switch
+        passes short index lists, usually of one).
+
         Args:
             requests: either an iterable of requesting input indices, or a
                 boolean mask of length ``n_inputs``.
         """
-        mask = self._as_mask(requests)
-        for offset in range(self.n_inputs):
-            candidate = (self._head + offset) % self.n_inputs
-            if mask[candidate]:
-                self.grants += 1
-                return candidate
-        return None
-
-    def _as_mask(self, requests) -> list[bool]:
-        requests = list(requests)
-        if requests and all(isinstance(r, bool) for r in requests):
-            if len(requests) != self.n_inputs:
+        if not isinstance(requests, list):
+            requests = list(requests)
+        n_inputs = self.n_inputs
+        if (requests and isinstance(requests[0], bool)
+                and all(isinstance(r, bool) for r in requests)):
+            if len(requests) != n_inputs:
                 raise ConfigurationError(
-                    f"mask length {len(requests)} != n_inputs "
-                    f"{self.n_inputs}")
-            return requests
-        mask = [False] * self.n_inputs
+                    f"mask length {len(requests)} != n_inputs {n_inputs}")
+            requests = [index for index, flag in enumerate(requests)
+                        if flag]
+        head = self._head
+        winner = None
+        best = n_inputs
         for index in requests:
-            if not 0 <= index < self.n_inputs:
+            if not 0 <= index < n_inputs:
                 raise ConfigurationError(
-                    f"request index {index} out of range 0..{self.n_inputs - 1}")
-            mask[index] = True
-        return mask
+                    f"request index {index} out of range 0..{n_inputs - 1}")
+            offset = (index - head) % n_inputs
+            if offset < best:
+                winner, best = index, offset
+        if winner is not None:
+            self.grants += 1
+        return winner

@@ -15,6 +15,7 @@ mirror image from the output buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.buffer import DEFAULT_DEPTH
@@ -82,7 +83,7 @@ class Interconnect:
         self.stats = NocStats()
         self.routers = [
             Router(node, topology.link_ports(node),
-                   self._route_fn(node), buffer_depth,
+                   partial(topology.next_port, node), buffer_depth,
                    local_rate=local_rate)
             for node in range(topology.n_nodes)
         ]
@@ -106,9 +107,6 @@ class Interconnect:
         # cycle its next transmission attempt is allowed (backoff).
         self._link_retries = [0] * len(self._links)
         self._link_blocked_until = [0] * len(self._links)
-
-    def _route_fn(self, node: int):
-        return lambda packet: self.topology.next_port(node, packet)
 
     # ------------------------------------------------------------------
     # edge interfaces

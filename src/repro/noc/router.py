@@ -16,18 +16,29 @@ from collections.abc import Callable
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.buffer import DEFAULT_DEPTH, CreditedBuffer
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, PacketKind
 from repro.noc.routing import LOCAL_PORTS, PortKey
+
+_WRITEBACK = PacketKind.WRITEBACK
 
 
 class Router:
     """One NoC router.
 
+    Ports are numbered in :attr:`ports` order — the link ports as the
+    topology lists them, then ``PE``, then ``MEM`` — and the switch runs
+    over those integer indices with flat per-port lists of buffers,
+    arbiters and rates.  :attr:`inputs` / :attr:`outputs` keep the
+    port-keyed dict view of the same buffers for injection, ejection and
+    the observability probes.
+
     Args:
         node_id: this router's node number (== PE id == vault id).
         link_ports: directional ports wired to other routers.
         route: function ``(packet) -> PortKey`` giving the output port a
-            packet must take *from this router*.
+            packet must take *from this router*.  It may read only the
+            packet's ``dst`` and whether it is a write-back: the router
+            memoises it in a route table keyed on exactly that pair.
         buffer_depth: per-channel packet buffer depth (16 in the paper).
         local_rate: packets per cycle the local (PE/MEM) channels can
             move through the switch.  Mesh links are one 36-bit flit per
@@ -49,9 +60,6 @@ class Router:
             raise ConfigurationError(
                 f"router {node_id}: duplicate ports {self.ports}")
         self.local_rate = local_rate
-        self._port_rate = {
-            port: (local_rate if port in LOCAL_PORTS else 1)
-            for port in self.ports}
         self.route = route
         self.inputs: dict[PortKey, CreditedBuffer] = {
             port: CreditedBuffer(buffer_depth, f"r{node_id}.in.{port}")
@@ -59,17 +67,26 @@ class Router:
         self.outputs: dict[PortKey, CreditedBuffer] = {
             port: CreditedBuffer(buffer_depth, f"r{node_id}.out.{port}")
             for port in self.ports}
-        self._arbiters: dict[PortKey, RotatingPriorityArbiter] = {
-            port: RotatingPriorityArbiter(len(self.ports))
-            for port in self.ports}
+        # The switch's index-ordered view of the same state.
+        self._port_index = {port: i for i, port in enumerate(self.ports)}
+        self._in = list(self.inputs.values())
+        self._out = list(self.outputs.values())
+        # Live input FIFOs, for the empty-router test and head peeks.
+        self._in_fifos = [buffer.fifo for buffer in self._in]
+        self._rates = [local_rate if port in LOCAL_PORTS else 1
+                       for port in self.ports]
+        self._arbiters = [RotatingPriorityArbiter(len(self.ports))
+                          for _ in self.ports]
+        # (dst, is write-back) -> output port index, filled from
+        # ``route`` on first use.
+        self._routes: dict[tuple[int, bool], int] = {}
         # Arbiter heads rotate every cycle even when the router is idle
         # (§III-C).  Idle rotations are batched into this counter and
         # flushed lazily before the next real arbitration, which keeps
         # the per-cycle cost of an empty router at one integer add.
         self._pending_rotations = 0
-        self._input_buffers = list(self.inputs.values())
         # Hoisted out of switch(): the arbitration round count per cycle.
-        self._max_port_rate = max(self._port_rate.values())
+        self._max_port_rate = max(self._rates)
         self.switched_packets = 0
 
     def advance_idle(self, cycles: int) -> None:
@@ -78,9 +95,20 @@ class Router:
 
     def _flush_rotations(self) -> None:
         if self._pending_rotations:
-            for arbiter in self._arbiters.values():
+            for arbiter in self._arbiters:
                 arbiter.advance(self._pending_rotations)
             self._pending_rotations = 0
+
+    def _learn_route(self, packet: Packet) -> int:
+        """Route-table miss: ask ``route`` and remember the answer."""
+        port = self.route(packet)
+        index = self._port_index.get(port)
+        if index is None:
+            raise SimulationError(
+                f"router {self.node_id}: route returned unknown "
+                f"port {port} for {packet}")
+        self._routes[packet.dst, packet.kind is _WRITEBACK] = index
+        return index
 
     def switch(self) -> int:
         """One switch-stage cycle: input buffers -> output buffers.
@@ -91,45 +119,49 @@ class Router:
         one packet per cycle; local ports up to ``local_rate``, realised
         as repeated arbitration rounds.
         """
-        if all(buffer.empty for buffer in self._input_buffers):
+        fifos = self._in_fifos
+        if not any(fifos):
             self._pending_rotations += 1
             return 0
         self._flush_rotations()
+        routes = self._routes
+        rates = self._rates
+        n_ports = len(fifos)
         moved = 0
-        supplied = {port: 0 for port in self.ports}
-        accepted = {port: 0 for port in self.ports}
+        supplied = [0] * n_ports
+        accepted = [0] * n_ports
         for _ in range(self._max_port_rate):
             # Gather, per output port, the inputs whose head wants it.
-            wants: dict[PortKey, list[int]] = {}
-            for index, port in enumerate(self.ports):
-                buffer = self.inputs[port]
-                if supplied[port] >= self._port_rate[port] or buffer.empty:
+            wants: dict[int, list[int]] = {}
+            for index in range(n_ports):
+                fifo = fifos[index]
+                if not fifo or supplied[index] >= rates[index]:
                     continue
-                out_port = self.route(buffer.peek())
-                if out_port not in self.outputs:
-                    raise SimulationError(
-                        f"router {self.node_id}: route returned unknown "
-                        f"port {out_port} for {buffer.peek()}")
-                wants.setdefault(out_port, []).append(index)
+                head = fifo[0]
+                out = routes.get((head.dst, head.kind is _WRITEBACK))
+                if out is None:
+                    out = self._learn_route(head)
+                requesters = wants.get(out)
+                if requesters is None:
+                    wants[out] = [index]
+                else:
+                    requesters.append(index)
             any_move = False
-            for out_port, requesters in wants.items():
-                output = self.outputs[out_port]
-                if accepted[out_port] >= self._port_rate[out_port]:
+            for out, requesters in wants.items():
+                if accepted[out] >= rates[out]:
                     continue
+                output = self._out[out]
                 if not output.has_space:
                     continue
-                winner = self._arbiters[out_port].grant(requesters)
-                if winner is None:
-                    continue
-                in_port = self.ports[winner]
-                output.push(self.inputs[in_port].pop())
-                supplied[in_port] += 1
-                accepted[out_port] += 1
+                winner = self._arbiters[out].grant(requesters)
+                output.push(self._in[winner].pop())
+                supplied[winner] += 1
+                accepted[out] += 1
                 moved += 1
                 any_move = True
             if not any_move:
                 break
-        for arbiter in self._arbiters.values():
+        for arbiter in self._arbiters:
             arbiter.rotate()
         self.switched_packets += moved
         return moved
@@ -164,7 +196,8 @@ class Router:
             "outputs": {port: b.state_dict()
                         for port, b in self.outputs.items()},
             "arbiters": {port: a.state_dict()
-                         for port, a in self._arbiters.items()},
+                         for port, a in zip(self.ports, self._arbiters,
+                                            strict=True)},
             "pending_rotations": self._pending_rotations,
             "switched_packets": self.switched_packets,
         }
@@ -175,7 +208,7 @@ class Router:
         for port, payload in state["outputs"].items():
             self.outputs[port].load_state(payload)
         for port, payload in state["arbiters"].items():
-            self._arbiters[port].load_state(payload)
+            self._arbiters[self._port_index[port]].load_state(payload)
         self._pending_rotations = state["pending_rotations"]
         self.switched_packets = state["switched_packets"]
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.noc.packet import PacketKind
+
 
 class Port(enum.Enum):
     """Named local and mesh ports; peer ports use ``("peer", node)``."""
@@ -60,6 +62,4 @@ def local_delivery_port(kind) -> Port:
     Write-backs return to the vault's PNG (MEM port); weights and states
     are consumed by the PE.
     """
-    from repro.noc.packet import PacketKind
-
     return Port.MEM if kind == PacketKind.WRITEBACK else Port.PE

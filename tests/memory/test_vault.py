@@ -130,3 +130,75 @@ class TestMemorySystem:
         while system.busy:
             system.step()
         assert system.total_words_served == 4
+
+
+class TestSkipMatchesStepping:
+    """``skip(n)`` must leave a vault exactly where ``n`` steps would —
+    clock, issue credit, burst gap, burst position and stall count —
+    including the million-cycle jumps of a deadlock diagnosis, where
+    the credit walk stops at its 2.0 ceiling."""
+
+    RATES = (0.25, 0.5, 1.0)
+
+    @staticmethod
+    def _pair(rate, setup, latency=0):
+        """Two vaults brought to the same state by ``setup(vault)``."""
+        pair = []
+        for _ in range(2):
+            vault = VaultChannel(timing(burst=2, gap=5, latency=latency,
+                                        rate=rate))
+            setup(vault)
+            pair.append(vault)
+        return pair
+
+    @staticmethod
+    def _assert_skip_equals_steps(skipped, stepped, cycles):
+        skipped.skip(cycles)
+        for _ in range(cycles):
+            assert stepped.step() == []
+        assert skipped.state_dict() == stepped.state_dict()
+
+    @staticmethod
+    def _partial_credit(vault):
+        """Idle with credit below one: one issue drains it."""
+        vault.enqueue_read(0)
+        vault.drain()
+
+    @staticmethod
+    def _mid_gap(vault):
+        """Idle right after a two-word burst: at full rate its 5-cycle
+        gap is still draining."""
+        vault.enqueue_reads([0, 2])
+        vault.drain()
+        assert (vault.timing.words_per_cycle < 1
+                or vault.state_dict()["gap_remaining"] > 0)
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("cycles", [1, 2, 3, 4, 7, 8, 9, 1000, 10**6])
+    def test_idle_channel(self, rate, cycles):
+        for setup in (lambda vault: None, self._partial_credit,
+                      self._mid_gap):
+            if cycles == 10**6 and setup is not self._mid_gap:
+                continue  # one million-step walk per rate is enough
+            skipped, stepped = self._pair(rate, setup)
+            self._assert_skip_equals_steps(skipped, stepped, cycles)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_queued_requests_waiting(self, rate):
+        """Queued requests wait out a burst gap (full rate: a burst of
+        two ends in a 5-cycle gap, charged as stall cycles) or issue
+        credit (fractional rates: the channel idles between issues, so
+        bursts never complete).  Every event-free prefix must match."""
+        def setup(vault):
+            vault.enqueue_reads([0, 2, 4, 6])
+            while vault.words_served < 2:
+                vault.step()
+
+        probe, _ = self._pair(rate, setup, latency=40)
+        horizon = probe.next_event_delta()
+        assert horizon == {0.25: 4, 0.5: 2, 1.0: 5}[rate]
+        for cycles in range(1, horizon):
+            skipped, stepped = self._pair(rate, setup, latency=40)
+            self._assert_skip_equals_steps(skipped, stepped, cycles)
+            assert stepped.pending == 2
+        assert stepped.stall_cycles == (4 if rate == 1.0 else 0)

@@ -8,6 +8,18 @@ assertions encode the shape checks recorded in EXPERIMENTS.md.
 import pytest
 
 
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Drop the raw per-round samples from ``--benchmark-json`` output.
+
+    ``stats["data"]`` lists every round's time (over 100,000 entries
+    for the fastest benchmarks) and no reader uses it: the regression
+    gate reads one ``stats`` aggregate plus ``extra_info``.  Dropping
+    it keeps a refreshed ``baseline.json`` small.
+    """
+    for bench in output_json.get("benchmarks", ()):
+        bench.get("stats", {}).pop("data", None)
+
+
 @pytest.fixture
 def record_sim_rate():
     """Record a ``LayerRun``'s simulation rate into the benchmark JSON.
@@ -51,7 +63,8 @@ def record_memo_counters():
 
     Takes a :class:`repro.memo.MemoStats` (or None).  Attaches a
     ``memo_counters`` dict to ``extra_info``; ``bench_compare`` prints
-    it as an informational ``[memo: ...]`` column, never as a gate —
+    it as an informational ``[memo_counters: ...]`` note, never as a
+    gate —
     the hit/reject invariants are asserted inside the benchmarks.
     """
     def record(benchmark, memo_stats):

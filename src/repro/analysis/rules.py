@@ -24,10 +24,11 @@ _NONDETERMINISTIC_PREFIXES = (
 _OBS_ALLOWED_MODULES = frozenset({
     # The tracer-hook protocol: agents accept an optional Tracer and the
     # simulator resolves its run options (trace, faults, checkpoint,
-    # memo) against the ambient RunSession and registers each finished
-    # run there.  repro.obs.live is the same shape for telemetry — the
-    # simulator reads the ambient LiveTelemetry and bills host phases
-    # through opaque timer hooks.  Everything else in repro.obs
+    # memo, live telemetry) against the ambient RunSession and registers
+    # each finished run there.  repro.obs.live supplies the telemetry
+    # side: the resolved LiveTelemetry bills host phases through opaque
+    # timer hooks, and its attribution delegations keep the analytic
+    # model out of the core's imports.  Everything else in repro.obs
     # (counters, exporters, manifests) is presentation-layer.
     "repro.obs.tracer",
     "repro.obs.runsession",
@@ -488,8 +489,8 @@ class NoAdhocPhaseTiming(Rule):
         "the phase_seconds metric, the manifest's phases block, or the "
         "OpenMetrics export, so the breakdown silently under-reports.  "
         "All host timing goes through repro.obs.live phase timers "
-        "(ambient_phase / ambient_timer); only that module may read "
-        "the monotonic clock.")
+        "(RunOptions.phase / RunOptions.timer / LiveTelemetry.phase); "
+        "only that module may read the monotonic clock.")
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         # Unlike the NC10x rules this applies to *every* module, not
@@ -514,7 +515,7 @@ class NoAdhocPhaseTiming(Rule):
                     yield (node.lineno, node.col_offset,
                            f"ad-hoc '{name}()' in {ctx.module}; time "
                            f"host phases via repro.obs.live timers "
-                           f"(ambient_phase / LiveTelemetry.phase) "
+                           f"(RunOptions.phase / LiveTelemetry.phase) "
                            f"instead")
 
 

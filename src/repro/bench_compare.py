@@ -56,125 +56,41 @@ def load_benchmarks(path: str) -> dict[str, dict]:
     return table
 
 
-def _sim_rate_note(base_extra: dict, cur_extra: dict) -> str:
-    """Informational simulator-rate note for one benchmark line.
+def _format_value(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
-    Shows the current ``simulated_cycles_per_second`` and, when the
-    baseline recorded one too, the speedup factor against it.  Never
-    gated on: the wall-clock metric is the gate, the simulator rate is
-    the number a human wants to see move.
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def extra_info_note(base_extra: dict, cur_extra: dict) -> str:
+    """Informational ``extra_info`` note for one benchmark line.
+
+    One bracket per nonempty key, in key order: a scalar prints as
+    ``key=value``, plus ``N.NNx baseline`` when the baseline recorded
+    the same key; a dict (fault or memo counters) prints its nonzero
+    entries; an empty or zero value prints nothing.  Never gated on:
+    the wall-clock metric is the gate, and the hard invariants behind
+    these numbers are asserts inside the benchmarks themselves.
     """
-    rate = cur_extra.get("simulated_cycles_per_second")
-    if not rate:
-        return ""
-    base_rate = base_extra.get("simulated_cycles_per_second")
-    if base_rate:
-        return (f"  [{rate:,.0f} sim cycles/s, "
-                f"{rate / base_rate:.2f}x baseline rate]")
-    return f"  [{rate:,.0f} sim cycles/s]"
-
-
-def _fault_note(cur_extra: dict) -> str:
-    """Informational fault/retry-counter note for one benchmark line.
-
-    Fault-injection benchmarks attach a ``fault_counters`` dict (the
-    nonzero :class:`repro.faults.FaultStats` counters, e.g. ``retries``
-    or ``packets_lost``) to ``extra_info``.  Like the simulator rate,
-    these are printed for the human reading the log and never gated on:
-    a seeded fault campaign's counters are deterministic, so a change
-    here means the fault model changed, not that the code got slower.
-    """
-    counters = cur_extra.get("fault_counters")
-    if not isinstance(counters, dict) or not counters:
-        return ""
-    shown = ", ".join(f"{name}={value}"
-                      for name, value in sorted(counters.items()) if value)
-    if not shown:
-        return ""
-    return f"  [faults: {shown}]"
-
-
-def _memo_note(cur_extra: dict) -> str:
-    """Informational memo-store counter note for one benchmark line.
-
-    Memoization benchmarks attach a ``memo_counters`` dict (the nonzero
-    :class:`repro.memo.MemoStats` counters, e.g. ``hits`` or
-    ``rejects``) to ``extra_info``.  Printed for the human reading the
-    log and never gated on: the bit-identity and speedup asserts live
-    inside the benchmarks themselves, where a failure names the exact
-    broken invariant instead of a generic slowdown.
-    """
-    counters = cur_extra.get("memo_counters")
-    if not isinstance(counters, dict) or not counters:
-        return ""
-    shown = ", ".join(f"{name}={value}"
-                      for name, value in sorted(counters.items()) if value)
-    if not shown:
-        return ""
-    return f"  [memo: {shown}]"
-
-
-def _stream_note(base_extra: dict, cur_extra: dict) -> str:
-    """Informational streaming-throughput note for one benchmark line.
-
-    Streaming benchmarks attach ``warm_frames_per_second`` (host-side
-    replay rate of the functional fast path) to ``extra_info``.  Shown
-    with the factor against the baseline when one exists; the hard
-    throughput gate is the assert inside the benchmark itself.
-    """
-    rate = cur_extra.get("warm_frames_per_second")
-    if not rate:
-        return ""
-    base_rate = base_extra.get("warm_frames_per_second")
-    if base_rate:
-        return (f"  [{rate:,.0f} warm frames/s, "
-                f"{rate / base_rate:.2f}x baseline rate]")
-    return f"  [{rate:,.0f} warm frames/s]"
-
-
-def _serve_note(cur_extra: dict) -> str:
-    """Informational serving-layer note for one benchmark line.
-
-    Service benchmarks attach ``serve_p50_ms`` / ``serve_p99_ms``
-    (terminal-job latency percentiles of an in-process service pass)
-    and ``serve_warm_hit_pct`` (plan-cache hit share) to
-    ``extra_info``.  Printed for the human reading the log, never
-    gated on: the hard gates (3x warm speedup, bit-identity) are
-    asserts inside the benchmarks themselves.
-    """
-    p50 = cur_extra.get("serve_p50_ms")
-    if p50 is None:
-        return ""
-    parts = [f"p50 {p50:,.0f}ms"]
-    p99 = cur_extra.get("serve_p99_ms")
-    if p99 is not None:
-        parts.append(f"p99 {p99:,.0f}ms")
-    hit_pct = cur_extra.get("serve_warm_hit_pct")
-    if hit_pct is not None:
-        parts.append(f"warm-hit {hit_pct:.0f}%")
-    return f"  [serve: {', '.join(parts)}]"
-
-
-def _cubes_note(cur_extra: dict) -> str:
-    """Format multi-cube sharding counters when a benchmark attached any.
-
-    Sharded benchmarks attach ``cubes`` (cluster size),
-    ``intercube_comm_cycles`` (cycles spent at exchange barriers) and
-    ``sharded_speedup`` (wall-clock factor over the serial sharded run).
-    Informational only — the hard gates (bit-identity, >= 2x on 4
-    cubes) are asserts inside the benchmarks themselves.
-    """
-    cubes = cur_extra.get("cubes")
-    if not cubes:
-        return ""
-    parts = [f"cubes: {cubes}"]
-    comm = cur_extra.get("intercube_comm_cycles")
-    if comm is not None:
-        parts.append(f"comm {comm:,.0f} cycles")
-    speedup = cur_extra.get("sharded_speedup")
-    if speedup is not None:
-        parts.append(f"{speedup:.2f}x sharded speedup")
-    return f"  [{', '.join(parts)}]"
+    notes = []
+    for key, value in sorted(cur_extra.items()):
+        if isinstance(value, dict):
+            shown = ", ".join(f"{name}={_format_value(count)}"
+                              for name, count in sorted(value.items())
+                              if count)
+            if shown:
+                notes.append(f"[{key}: {shown}]")
+            continue
+        if not value:
+            continue
+        note = f"{key}={_format_value(value)}"
+        base = base_extra.get(key)
+        if _is_number(value) and _is_number(base) and base:
+            note += f", {value / base:.2f}x baseline"
+        notes.append(f"[{note}]")
+    return "".join(f"  {note}" for note in notes)
 
 
 def registry_drift_notes(registry_dir: str, last: int) -> list[str]:
@@ -231,14 +147,8 @@ def compare(baseline: dict[str, dict], current: dict[str, dict],
             continue
         regressed = cur_value / base_value > 1.0 + threshold
         marker = "REGRESSION" if regressed else "ok"
-        note = _sim_rate_note(baseline[name]["extra_info"],
-                              current[name]["extra_info"])
-        note += _fault_note(current[name]["extra_info"])
-        note += _memo_note(current[name]["extra_info"])
-        note += _stream_note(baseline[name]["extra_info"],
-                             current[name]["extra_info"])
-        note += _serve_note(current[name]["extra_info"])
-        note += _cubes_note(current[name]["extra_info"])
+        note = extra_info_note(baseline[name]["extra_info"],
+                               current[name]["extra_info"])
         print(f"  {name}: {metric} {base_value:.6g}s -> {cur_value:.6g}s "
               f"({base_value / cur_value:.2f}x speedup)  {marker}{note}")
         if regressed:

@@ -218,7 +218,7 @@ def snapshot_pass(result) -> PassOutcome:
 def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
                  lut: ActivationLUT | None, functional: bool,
                  task: MapTask, trace=None, faults=None, checkpoint=None,
-                 label_base: str = "") -> MapOutcome:
+                 label_base: str = "", checkpoint_timer=None) -> MapOutcome:
     """Run one map's sub-pass chain to completion (worker entry point).
 
     Sub-passes run serially: sub-pass 0 preloads the spec's bias, later
@@ -238,6 +238,8 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
     *logical* identity — ``(label_base, task.index, sub-pass)`` — never
     from worker identity, so serial, parallel and resumed runs inject
     identical faults and share one checkpoint namespace.
+    ``checkpoint_timer`` (host-side phase timing) is only ever passed
+    to in-process calls.
     """
     # Imported here, not at module top: the simulator imports this
     # module for the task/outcome types.
@@ -258,7 +260,8 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
             plan, trace=trace, faults=faults,
             fault_salt=pass_salt(task.index, j),
             checkpoint=checkpoint,
-            pass_label=f"{label_base}.m{task.index}.s{j}")
+            pass_label=f"{label_base}.m{task.index}.s{j}",
+            checkpoint_timer=checkpoint_timer)
         passes.append(snapshot_pass(result))
         if functional:
             partial_sums = simulator.assemble_output(
@@ -283,7 +286,8 @@ class ParallelPassExecutor:
             lut: ActivationLUT | None, functional: bool,
             tasks: list[MapTask], trace=None,
             memoize: bool = False, faults=None, checkpoint=None,
-            label_base: str = "", memo=None) -> list[MapOutcome]:
+            label_base: str = "", memo=None,
+            checkpoint_timer=None) -> list[MapOutcome]:
         """Run all tasks; returns outcomes ordered like ``tasks``.
 
         With ``memoize`` set, tasks are grouped by
@@ -309,8 +313,9 @@ class ParallelPassExecutor:
         worker = partial(run_map_task, config, desc, lut, functional,
                          trace=trace, faults=faults, checkpoint=checkpoint,
                          label_base=label_base)
+        inline = {"checkpoint_timer": checkpoint_timer}
         if not memoize or (memo is None and len(tasks) <= 1):
-            return self._execute(worker, tasks)
+            return self._execute(worker, tasks, **inline)
         keys = [structural_key(task) for task in tasks]
         representatives: dict[tuple, int] = {}
         unique: list[MapTask] = []
@@ -321,7 +326,7 @@ class ParallelPassExecutor:
                 unique.append(task)
                 unique_keys.append(key)
         if memo is None and len(unique) == len(tasks):
-            return self._execute(worker, tasks)
+            return self._execute(worker, tasks, **inline)
         rep_outcomes: list[MapOutcome | None] = [None] * len(unique)
         to_run: list[MapTask] = []
         run_slots: list[int] = []
@@ -343,7 +348,8 @@ class ParallelPassExecutor:
         else:
             to_run = unique
             run_slots = list(range(len(unique)))
-        for slot, outcome in zip(run_slots, self._execute(worker, to_run),
+        for slot, outcome in zip(run_slots,
+                                 self._execute(worker, to_run, **inline),
                                  strict=True):
             rep_outcomes[slot] = outcome
             if memo is not None:
@@ -369,9 +375,12 @@ class ParallelPassExecutor:
         """
         return self._execute(worker, items)
 
-    def _execute(self, worker, tasks: list[MapTask]) -> list[MapOutcome]:
+    def _execute(self, worker, tasks: list[MapTask],
+                 **inline) -> list[MapOutcome]:
+        """``inline`` keyword arguments reach in-process calls only:
+        host-side hooks (phase timers) never cross into a pool worker."""
         if _INLINE_ONLY or self.workers == 1 or len(tasks) <= 1:
-            return [worker(task) for task in tasks]
+            return [worker(task, **inline) for task in tasks]
         pool_size = min(self.workers, len(tasks))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             return list(pool.map(worker, tasks))

@@ -42,9 +42,11 @@ sharded, and rate 0 is pinned bit-identical to no injector at all.
 Run options are resolved once, in the parent, by
 :func:`repro.obs.runsession.resolve_options`; every cube job receives
 the fault and checkpoint settings explicitly and runs untraced, without
-a persistent memo store, reading no session.  The parent registers each
-cube's run with the active :class:`repro.obs.RunSession` stack, so a
-session sees the same runs whether the cubes ran in-process or pooled.
+a persistent memo store or live telemetry, reading no session.  The
+parent registers each cube's run through
+:func:`repro.obs.runsession.record_run` — with the active
+:class:`repro.obs.RunSession` stack and the resolved live telemetry —
+so both see the same runs whether the cubes ran in-process or pooled.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from repro.memory.layout import conv_layout, fc_layout
 from repro.nn.layers import Dense, Flatten
 from repro.nn.network import Network
 from repro.noc.cubelink import CubeLinkModel, CubeLinkStats
-from repro.obs.live import current_live, intercube_attribution
+from repro.obs.live import LiveTelemetry, intercube_attribution
 from repro.obs.runsession import (
     CapturedRun,
     RunOptions,
@@ -478,6 +480,7 @@ class CubeOutcome:
     host_seconds: float
     fault_stats: FaultStats | None
     degraded: tuple
+    macs_fired: int
 
 
 def run_cube_job(config: NeurocubeConfig, options: RunOptions,
@@ -501,7 +504,8 @@ def run_cube_job(config: NeurocubeConfig, options: RunOptions,
     return CubeOutcome(
         cube=job.cube, cycles=run.cycles, output=run.output,
         stats=run.to_stats(), host_seconds=run.host_seconds,
-        fault_stats=run.fault_stats, degraded=run.degraded)
+        fault_stats=run.fault_stats, degraded=run.degraded,
+        macs_fired=run.macs_fired)
 
 
 @dataclass
@@ -590,6 +594,7 @@ class _RunState:
     executor: ParallelPassExecutor
     options: RunOptions
     injector: FaultInjector | None
+    live: LiveTelemetry | None = None
     cube_layers: list = field(default_factory=list)
     exchanges: list = field(default_factory=list)
     fault_stats: FaultStats | None = None
@@ -716,7 +721,9 @@ class ShardedSimulator:
                     host_seconds=outcome.host_seconds,
                     stats=outcome.stats, descriptor=job.descriptor,
                     fault_stats=outcome.fault_stats,
-                    degraded=outcome.degraded), self._cube_config)
+                    degraded=outcome.degraded,
+                    macs_fired=outcome.macs_fired),
+                    self._cube_config, state.live)
             if functional:
                 current = self._stitch(entry, outcomes)
                 state.positions = self._owned_positions(entry, current)
@@ -732,8 +739,9 @@ class ShardedSimulator:
     def _begin_run(self, plan: ShardPlan, network_name: str) -> _RunState:
         resolved = resolve_options(self.config.cube, RunOptions(
             faults=self.faults, checkpoint=self.checkpoint))
-        # Cube jobs get faults and checkpoints only: no trace and no
-        # persistent memo store, in-process and pooled alike.
+        # Cube jobs get faults and checkpoints only: no trace, no
+        # persistent memo store and no live telemetry, in-process and
+        # pooled alike.
         options = RunOptions(faults=resolved.faults,
                              checkpoint=resolved.checkpoint)
         injector = None
@@ -754,7 +762,8 @@ class ShardedSimulator:
             f_clk_hz=self.config.cube.f_pe_hz)
         return _RunState(plan=plan, report=report, links=links,
                          executor=ParallelPassExecutor(self.workers),
-                         options=options, injector=injector)
+                         options=options, injector=injector,
+                         live=resolved.live)
 
     def _dispatch(self, state: _RunState,
                   jobs: list[CubeJob]) -> list[CubeOutcome]:
@@ -1000,7 +1009,7 @@ class ShardedSimulator:
             plan=state.plan, report=state.report,
             cube_layers=state.cube_layers, exchanges=state.exchanges,
             fault_stats=state.fault_stats, link=link_stats)
-        live = current_live()
+        live = state.live
         if live is not None and state.plan.n_cubes > 1:
             total = int(state.report.total_cycles)
             for cube in range(state.plan.n_cubes):

@@ -59,12 +59,7 @@ from repro.nn.layers import Flatten, MaxPool2D
 from repro.nn.network import Network
 from repro.noc.interconnect import Interconnect
 from repro.noc.topology import FullyConnected, Mesh2D
-from repro.obs.live import (
-    ambient_phase,
-    ambient_timer,
-    attribute_report,
-    current_live,
-)
+from repro.obs.live import attribute_report
 from repro.obs.runsession import (
     CapturedRun,
     RunOptions,
@@ -481,7 +476,8 @@ class NeurocubeSimulator:
                  faults: FaultConfig | None = None,
                  fault_salt: int = 0,
                  checkpoint: CheckpointSpec | None = None,
-                 pass_label: str = "pass") -> PassResult:
+                 pass_label: str = "pass",
+                 checkpoint_timer=None) -> PassResult:
         """Run one PNG pass to layer-done.
 
         Args:
@@ -511,6 +507,9 @@ class NeurocubeSimulator:
                 the newest snapshot is restored before cycling.
             pass_label: stable label for this pass's checkpoints; must
                 identify the pass across execution modes.
+            checkpoint_timer: optional zero-arg phase-timer factory the
+                checkpoint store bills its snapshot I/O to (host time
+                only; see :meth:`repro.obs.RunOptions.timer`).
         """
         config = self.config
         if validate:
@@ -577,11 +576,8 @@ class NeurocubeSimulator:
         store: CheckpointStore | None = None
         every = 0
         if checkpoint is not None:
-            # Phase timing is parent-process only: worker processes have
-            # no ambient live session, so ambient_timer is None there
-            # and the store runs timer-free.
             store = CheckpointStore(checkpoint.directory,
-                                    timer=ambient_timer("checkpoint"),
+                                    timer=checkpoint_timer,
                                     keep_last=checkpoint.keep_last)
             every = checkpoint.every
             if checkpoint.resume:
@@ -768,8 +764,9 @@ class NeurocubeSimulator:
 
         The run entry point: resolves this simulator's options once,
         simulates through :meth:`execute`, and registers the finished
-        run with every active :class:`repro.obs.RunSession` and the
-        ambient :class:`repro.obs.LiveTelemetry`.
+        run once, through :func:`repro.obs.runsession.record_run` (every
+        active :class:`repro.obs.RunSession` and the resolved live
+        telemetry).
 
         Args:
             desc: the compiled descriptor (forward phase).
@@ -784,17 +781,8 @@ class NeurocubeSimulator:
             label=desc.name, cycles=run.cycles,
             host_seconds=run.host_seconds, stats=run.to_stats(),
             descriptor=desc, trace=run.trace, fault_stats=run.fault_stats,
-            degraded=run.degraded, memo_stats=run.memo_stats), self.config)
-        live = current_live()
-        if live is not None:
-            live.observe_layer(
-                desc.name, run.cycles, run.host_seconds,
-                n_pe=self.config.n_pe, macs_fired=run.macs_fired,
-                pe_busy_cycles=run.pe_busy_cycles,
-                search_stall_cycles=run.search_stall_cycles,
-                inject_stall_cycles=run.inject_stall_cycles,
-                packets=run.packets, degraded=len(run.degraded),
-                memo_stats=run.memo_stats)
+            degraded=run.degraded, memo_stats=run.memo_stats,
+            macs_fired=run.macs_fired), self.config, options.live)
         return run
 
     def execute(self, desc: LayerDescriptor, layer, input_tensor,
@@ -825,11 +813,14 @@ class NeurocubeSimulator:
             act = layer.activation
             lut = act if isinstance(act, ActivationLUT) else ActivationLUT(act)
         if memo is not None:
-            # Bill the store's disk I/O to the memo_io phase while a
-            # live session is ambient (None clears the hook otherwise).
+            # Bill the store's disk I/O to the memo_io phase when live
+            # telemetry is resolved (None clears the hook otherwise).
             # Parent-side only: the executor calls load/store in this
             # process, the store object is never shipped to workers.
-            memo.timer = ambient_timer("memo_io")
+            memo.timer = options.timer("memo_io")
+        # In-process passes bill snapshot I/O to the checkpoint phase;
+        # the executor never ships the timer to pool workers.
+        checkpoint_timer = options.timer("checkpoint")
         memo_before = memo.stats.copy() if memo is not None else None
         accum = _RunAccumulator()
         # Per-pass traces carry local clocks starting at 0; each one is
@@ -842,7 +833,8 @@ class NeurocubeSimulator:
             result = self.run_pass(plan, trace=trace_options,
                                    faults=faults, fault_salt=0,
                                    checkpoint=checkpoint,
-                                   pass_label=f"{desc.name}.fc")
+                                   pass_label=f"{desc.name}.fc",
+                                   checkpoint_timer=checkpoint_timer)
             if result.trace is not None:
                 trace_parts.append((accum.cycles, result.trace))
             accum.fold(snapshot_pass(result))
@@ -858,7 +850,8 @@ class NeurocubeSimulator:
                                        trace=trace_options,
                                        faults=faults,
                                        checkpoint=checkpoint,
-                                       memo=memo)
+                                       memo=memo,
+                                       checkpoint_timer=checkpoint_timer)
             for outcome in outcomes:
                 for pass_outcome in outcome.passes:
                     if pass_outcome.trace is not None:
@@ -907,7 +900,7 @@ class NeurocubeSimulator:
                    trace: TraceOptions | None = None,
                    faults: FaultConfig | None = None,
                    checkpoint: CheckpointSpec | None = None,
-                   memo=None) -> list[MapOutcome]:
+                   memo=None, checkpoint_timer=None) -> list[MapOutcome]:
         executor = ParallelPassExecutor(self.config.effective_sim_workers)
         # Memoization replays one representative outcome per structural
         # equivalence class.  Functional runs carry per-map tensors (the
@@ -930,7 +923,7 @@ class NeurocubeSimulator:
         return executor.run(self.config, desc, lut, functional, tasks,
                             trace=trace, memoize=memoize, faults=faults,
                             checkpoint=checkpoint, label_base=desc.name,
-                            memo=memo)
+                            memo=memo, checkpoint_timer=checkpoint_timer)
 
     def _pool_tasks(self, desc, layer, input_tensor) -> list[MapTask]:
         """One task per pooled map; every map is a single final pass."""
@@ -1065,7 +1058,8 @@ class NeurocubeSimulator:
                     report.memo = MemoStats()
                 report.memo.merge(run.memo_stats)
             current = run.output
-        if self._options().trace is not None or current_live() is not None:
+        options = self._options()
+        if options.trace is not None or options.live is not None:
             report.attribution = attribute_report(
                 report, self.config, program.descriptors)
         return current, report
@@ -1105,7 +1099,7 @@ class NeurocubeSimulator:
                 network, x, duplicate, validate=validate)
             return output, shard_report.report
 
-        with ambient_phase("compile"):
+        with self._options().phase("compile"):
             program = compile_inference(network, self.config, duplicate,
                                         validate=validate)
         return self.run_program(program, network, x)
@@ -1138,7 +1132,7 @@ class NeurocubeSimulator:
         # Host wall-clock phase split only; never feeds any simulated
         # result.  nclint: allow(NC101) host-side timing
         started = time.perf_counter()
-        with ambient_phase("compile"):
+        with self._options().phase("compile"):
             program = compile_inference(network, self.config, duplicate)
         _, cold = self.run_program(program, network)
         # nclint: allow(NC101) host-side timing

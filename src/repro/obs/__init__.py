@@ -14,8 +14,10 @@ The package has three entry points:
 * ambient — ``with RunSession(trace=TraceOptions()) as session: ...``
   traces and captures every descriptor run in the block (how the
   runner's ``--trace`` works; the same session carries faults,
-  checkpoints and the memo directory); ``with LiveTelemetry(...)``
-  likewise activates phase timers and heartbeats for the block;
+  checkpoints, the memo directory and, as
+  ``RunSession(live=LiveTelemetry(...))``, the phase timers and
+  heartbeats) — :func:`record_artifacts` runs a block this way and
+  writes its trace, manifest, heartbeats and OpenMetrics snapshot;
 * CLI — ``tools/ncprof.py record | summary | export | diff |
   attribute`` and ``tools/ncbench.py record | timeline | regress |
   export``.
@@ -39,8 +41,6 @@ from repro.obs.live import (
     PHASES,
     LiveTelemetry,
     MetricsRegistry,
-    ambient_phase,
-    current_live,
 )
 from repro.obs.manifest import (
     MANIFEST_VERSION,
@@ -51,6 +51,7 @@ from repro.obs.manifest import (
     git_revision,
     load_manifest,
     manifest_from_session,
+    record_artifacts,
     write_manifest,
 )
 from repro.obs.registry import RunRegistry
@@ -103,16 +104,15 @@ __all__ = [
     "TraceOptions",
     "Tracer",
     "VAULT_READ",
-    "ambient_phase",
     "build_manifest",
     "config_digest",
-    "current_live",
     "current_run_session",
     "diff_manifests",
     "git_revision",
     "load_manifest",
     "load_trace",
     "manifest_from_session",
+    "record_artifacts",
     "resolve_options",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -15,13 +15,16 @@ export two ways:
   appended to ``heartbeat_path``) — one JSON object per heartbeat, for
   offline trend analysis without a scrape target.
 
-Activation mirrors :class:`repro.obs.RunSession`: a
-:class:`LiveTelemetry` is a context manager; while one is active the
-simulator feeds it (compile/simulate phases, per-layer counters,
-heartbeat cycle advance) through ``is not None`` guards.  With no
-session active — the default — every hook is a single pointer
-comparison and simulated results are bit-identical (the PR-2/PR-5 guard
-convention, pinned by ``tests/obs/test_live.py``).
+A :class:`LiveTelemetry` rides as a run option —
+``RunSession(live=LiveTelemetry(...))``, the ``live`` field of
+:class:`repro.obs.RunOptions` — so it is resolved, inherited and
+overridden like every other option.  The simulator feeds the resolved
+one (compile/simulate phases, per-layer counters through
+:func:`repro.obs.runsession.record_run`, heartbeat cycle advance)
+through ``is not None`` guards.  With none resolved — the default —
+every hook is a single pointer comparison and simulated results are
+bit-identical (the guard convention pinned by
+``tests/obs/test_live.py``).
 
 This module is the **only** sanctioned home for wall-clock phase timing
 (``time.monotonic``): nclint's NC110 bans direct monotonic reads
@@ -34,7 +37,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.obs.counters import LatencyHistogram
@@ -268,56 +270,10 @@ class _PhaseTimer:
                            phase=self._phase)
 
 
-class _NullTimer:
-    """No-op stand-in so call sites need no ambient-session branching."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullTimer:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_TIMER = _NullTimer()
-
-_ACTIVE: list["LiveTelemetry"] = []
-
-
-def current_live() -> LiveTelemetry | None:
-    """The innermost active live-telemetry session, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def ambient_phase(name: str):
-    """Phase timer on the ambient session; a no-op with none active.
-
-    The cycle model calls this for its compile/simulate spans so the
-    telemetry-off path stays one list probe plus one ``is None`` test.
-    """
-    live = current_live()
-    if live is None:
-        return _NULL_TIMER
-    return live.phase(name)
-
-
-def ambient_timer(name: str) -> Callable | None:
-    """A zero-arg phase-timer factory bound to the ambient session.
-
-    Returns None with no session active — the shape the optional
-    ``timer=`` hooks on :class:`repro.memo.store.MemoStore` and
-    :class:`repro.faults.checkpoint.CheckpointStore` expect, so the
-    stores stay free of any observability import.
-    """
-    live = current_live()
-    if live is None:
-        return None
-    return live.phase_factory(name)
-
-
 class LiveTelemetry:
-    """Ambient live-telemetry session: registry + heartbeat policy.
+    """Live-telemetry sink: registry + heartbeat policy.
+
+    Activated as a run option, ``RunSession(live=...)``.
 
     Args:
         heartbeat_cycles: emit one heartbeat snapshot whenever the
@@ -345,26 +301,11 @@ class LiveTelemetry:
         self._cycles = 0
         self._seq = 0
 
-    # -- ambient stack --------------------------------------------------
-
-    def __enter__(self) -> LiveTelemetry:
-        _ACTIVE.append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _ACTIVE.remove(self)
-
     # -- phase timing ---------------------------------------------------
 
     def phase(self, name: str) -> _PhaseTimer:
         """Context manager billing its span to ``name``."""
         return _PhaseTimer(self.registry, name)
-
-    def phase_factory(self, name: str) -> Callable[[], _PhaseTimer]:
-        """A zero-arg callable producing :meth:`phase` timers."""
-        def factory() -> _PhaseTimer:
-            return _PhaseTimer(self.registry, name)
-        return factory
 
     def phase_seconds(self, name: str) -> float:
         """Accumulated wall seconds billed to one phase."""
@@ -395,9 +336,9 @@ class LiveTelemetry:
                       memo_stats=None) -> None:
         """Fold one finished descriptor run into the registry.
 
-        Called by :meth:`repro.core.NeurocubeSimulator.run_descriptor`
-        behind an ``is not None`` guard; also advances the heartbeat
-        clock by the run's cycles.
+        Called by :func:`repro.obs.runsession.record_run` for every
+        registered run — single-cube and per-cube sharded alike; also
+        advances the heartbeat clock by the run's cycles.
         """
         reg = self.registry
         reg.inc("neurocube_layer_runs", 1, layer=name)

@@ -4,6 +4,8 @@ A manifest pins down *what produced a result*: the full configuration
 and its content hash, the git revision of the working tree, the seed,
 per-layer simulated statistics, and host timing — enough to re-run the
 exact experiment and to ``ncprof diff`` two runs across commits.
+:func:`record_artifacts` writes a manifest together with the rest of a
+recorded run's artifact set (trace, heartbeats, OpenMetrics snapshot).
 """
 
 from __future__ import annotations
@@ -11,11 +13,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pathlib
 import platform
 import subprocess
 import time
+from collections.abc import Callable
 
 from repro.errors import SchemaMismatch
+from repro.obs.export import write_trace
+from repro.obs.live import LiveTelemetry
+from repro.obs.runsession import RunSession
+from repro.obs.tracer import TraceOptions
 
 MANIFEST_KIND = "neurocube-manifest"
 #: Current schema: v2 adds the optional ``attribution`` (per-layer
@@ -170,6 +178,76 @@ def write_manifest(manifest: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=False)
         handle.write("\n")
+
+
+@dataclasses.dataclass
+class RecordedRun:
+    """What :func:`record_artifacts` ran and wrote.
+
+    Attributes:
+        result: the return value of the recorded callable.
+        session: the finished session (its ``options.live`` is the
+            run's telemetry).
+        manifest: the manifest written to ``manifest_path``.
+        manifest_path: ``manifest_<label>.json``.
+        trace_path: ``trace_<label>.json``, or None when no run was
+            traced.
+        metrics_path: ``metrics_<label>.txt``, or None without
+            heartbeats.
+    """
+
+    result: object
+    session: RunSession
+    manifest: dict
+    manifest_path: pathlib.Path
+    trace_path: pathlib.Path | None
+    metrics_path: pathlib.Path | None
+
+
+def record_artifacts(label: str, out_dir, run: Callable[[], object], *,
+                     heartbeat: int = 0, **options) -> RecordedRun:
+    """Run ``run()`` in one traced, live session and write its artifacts.
+
+    The one artifact writer behind ``neurocube-experiments run --trace``
+    and ``ncprof record``.  ``options`` are further
+    :class:`repro.obs.RunOptions` fields (``trace`` defaults to
+    ``TraceOptions()``); live telemetry is always on, so host phases are
+    timed.  Under ``out_dir`` it writes, in order:
+
+    1. ``heartbeats_<label>.jsonl``, appended during the run, when
+       ``heartbeat`` (a period in simulated cycles) is nonzero;
+    2. ``trace_<label>.json`` when any run was traced, billed to the
+       ``trace_export`` phase;
+    3. ``manifest_<label>.json`` with its ``phases`` block;
+    4. the OpenMetrics snapshot ``metrics_<label>.txt`` when
+       ``heartbeat`` is nonzero.
+    """
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    live = LiveTelemetry(
+        heartbeat_cycles=heartbeat,
+        heartbeat_path=(str(out / f"heartbeats_{label}.jsonl")
+                        if heartbeat else None))
+    options.setdefault("trace", TraceOptions())
+    with RunSession(live=live, **options) as session:
+        result = run()
+    trace = session.merged_trace()
+    trace_path = None
+    if trace is not None:
+        trace_path = out / f"trace_{label}.json"
+        with live.phase("trace_export"):
+            write_trace(trace, str(trace_path))
+    manifest = manifest_from_session(label, session,
+                                     phases=live.phase_breakdown())
+    manifest_path = out / f"manifest_{label}.json"
+    write_manifest(manifest, str(manifest_path))
+    metrics_path = None
+    if heartbeat:
+        metrics_path = out / f"metrics_{label}.txt"
+        live.write_openmetrics(str(metrics_path))
+    return RecordedRun(result=result, session=session, manifest=manifest,
+                       manifest_path=manifest_path, trace_path=trace_path,
+                       metrics_path=metrics_path)
 
 
 def load_manifest(path: str) -> dict:

@@ -25,23 +25,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pathlib
 import sys
 
 from repro.errors import SchemaMismatch
 from repro.obs import (
     Trace,
-    RunSession,
     TraceOptions,
     diff_manifests,
     load_manifest,
     load_trace,
-    manifest_from_session,
+    record_artifacts,
     write_chrome_trace,
     write_counters_csv,
     write_events_csv,
-    write_manifest,
-    write_trace,
 )
 
 
@@ -54,42 +50,26 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.core import NeurocubeConfig, NeurocubeSimulator
     from repro.nn import models
 
-    from repro.obs.live import LiveTelemetry
-
     config = NeurocubeConfig.hmc_15nm()
     if args.workers is not None:
         config = dataclasses.replace(config, sim_workers=args.workers)
     net = models.single_conv_layer(args.size, args.size, 3, qformat=None)
     options = TraceOptions(counters=not args.no_counters,
                            sample_interval=args.sample_interval)
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    heartbeat_path = (out_dir / f"heartbeats_{args.label}.jsonl"
-                      if args.heartbeat else None)
-    live = LiveTelemetry(
-        heartbeat_cycles=args.heartbeat,
-        heartbeat_path=(str(heartbeat_path)
-                        if heartbeat_path is not None else None))
-    with live, RunSession(trace=options) as session:
-        NeurocubeSimulator(config).run_network(
-            net, np.zeros((1, args.size, args.size)))
-    trace_path = out_dir / f"trace_{args.label}.json"
-    manifest_path = out_dir / f"manifest_{args.label}.json"
-    with live.phase("trace_export"):
-        write_trace(session.merged_trace(), str(trace_path))
-    manifest = manifest_from_session(args.label, session,
-                                     phases=live.phase_breakdown())
-    write_manifest(manifest, str(manifest_path))
+    recorded = record_artifacts(
+        args.label, args.out,
+        lambda: NeurocubeSimulator(config).run_network(
+            net, np.zeros((1, args.size, args.size))),
+        heartbeat=args.heartbeat, trace=options)
+    session = recorded.session
     print(f"ncprof: recorded {session.total_cycles} cycles over "
           f"{len(session.runs)} layer run(s)")
-    print(f"ncprof: wrote {trace_path}")
-    print(f"ncprof: wrote {manifest_path}")
-    if args.heartbeat:
-        metrics_path = out_dir / f"metrics_{args.label}.txt"
-        live.write_openmetrics(str(metrics_path))
-        print(f"ncprof: wrote {metrics_path} "
-              f"({len(live.heartbeats)} heartbeat(s))")
-    for entry in manifest.get("attribution", []):
+    print(f"ncprof: wrote {recorded.trace_path}")
+    print(f"ncprof: wrote {recorded.manifest_path}")
+    if recorded.metrics_path is not None:
+        print(f"ncprof: wrote {recorded.metrics_path} "
+              f"({len(session.options.live.heartbeats)} heartbeat(s))")
+    for entry in recorded.manifest.get("attribution", []):
         print(f"ncprof: {entry['name']} -> {entry['verdict']}")
     return 0
 

@@ -2,13 +2,15 @@
 
 A :class:`RunSession` is a context manager holding one frozen
 :class:`RunOptions` — trace options, fault configuration, checkpoint
-policy and persistent memo directory.  While one is active, every
-:class:`repro.core.NeurocubeSimulator` descriptor run picks up the
-options it was not given explicitly and registers one
-:class:`CapturedRun` here.  The experiment runner's ``--trace``,
-``--faults``, ``--checkpoint-every``/``--resume-from`` and
-``--memo-dir`` flags, and ``tools/ncprof.py record``, all work this way,
-so experiments need no option parameters of their own.
+policy, persistent memo directory and live telemetry.  While one is
+active, every :class:`repro.core.NeurocubeSimulator` descriptor run
+picks up the options it was not given explicitly and registers one
+:class:`CapturedRun` here, which :func:`record_run` also folds into the
+resolved :class:`repro.obs.LiveTelemetry`.  The experiment runner's
+``--trace``, ``--faults``, ``--checkpoint-every``/``--resume-from``,
+``--memo-dir`` and ``--heartbeat`` flags, and ``tools/ncprof.py
+record``, all work this way, so experiments need no option parameters
+of their own.
 
 :func:`resolve_options` is the one place options are resolved, field by
 field: the explicit argument, then (memo only) ``config.sim_memo_dir``,
@@ -22,7 +24,10 @@ enclosing one, and every run is recorded in every active session.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.obs.tracer import Trace, TraceOptions
@@ -30,6 +35,7 @@ from repro.obs.tracer import Trace, TraceOptions
 if TYPE_CHECKING:
     from repro.faults.checkpoint import CheckpointSpec
     from repro.faults.config import FaultConfig
+    from repro.obs.live import LiveTelemetry
 
 _ACTIVE: list["RunSession"] = []
 
@@ -45,6 +51,9 @@ class RunOptions:
         memo_dir: persistent memo store directory for timing passes.
         memo_max_bytes: size bound of that store; it belongs to
             ``memo_dir`` and is inherited only together with it.
+        live: feed every run, its host phases and its heartbeats into
+            this :class:`repro.obs.LiveTelemetry`.  Parent-process
+            only: cube jobs and pool workers never receive it.
     """
 
     trace: TraceOptions | None = None
@@ -52,6 +61,7 @@ class RunOptions:
     checkpoint: CheckpointSpec | None = None
     memo_dir: str | None = None
     memo_max_bytes: int | None = None
+    live: LiveTelemetry | None = None
 
     def over(self, outer: RunOptions) -> RunOptions:
         """These options, with every unset field taken from ``outer``."""
@@ -61,7 +71,22 @@ class RunOptions:
             faults=self.faults if self.faults is not None else outer.faults,
             checkpoint=(self.checkpoint if self.checkpoint is not None
                         else outer.checkpoint),
-            memo_dir=memo.memo_dir, memo_max_bytes=memo.memo_max_bytes)
+            memo_dir=memo.memo_dir, memo_max_bytes=memo.memo_max_bytes,
+            live=self.live if self.live is not None else outer.live)
+
+    def phase(self, name: str):
+        """A context manager billing its span to phase ``name`` of
+        :attr:`live`; a no-op without live telemetry."""
+        return self.live.phase(name) if self.live is not None else (
+            nullcontext())
+
+    def timer(self, name: str) -> Callable | None:
+        """A zero-arg :meth:`phase` factory, or None without live
+        telemetry — the opaque ``timer=`` hook of the memo and
+        checkpoint stores, which stay free of any observability
+        import."""
+        return (partial(self.live.phase, name) if self.live is not None
+                else None)
 
 
 def resolve_options(config, explicit: RunOptions = RunOptions()
@@ -96,6 +121,7 @@ class CapturedRun:
         degraded: the run's :class:`repro.faults.DegradedResult` records.
         memo_stats: the run's :class:`repro.memo.MemoStats` delta, or
             None when no persistent store served it.
+        macs_fired: MAC operations the run executed.
     """
 
     label: str
@@ -107,14 +133,26 @@ class CapturedRun:
     fault_stats: object = None
     degraded: tuple = ()
     memo_stats: object = None
+    macs_fired: int = 0
 
 
-def record_run(run: CapturedRun, config=None) -> None:
-    """Register one finished descriptor run with every active session."""
+def record_run(run: CapturedRun, config,
+               live: LiveTelemetry | None = None) -> None:
+    """Register one finished descriptor run: with every active session,
+    and into ``live`` (the run's resolved telemetry) when one is set."""
     for session in _ACTIVE:
         session.runs.append(run)
-        if config is not None:
-            session.config = config
+        session.config = config
+    if live is not None:
+        stats = run.stats
+        live.observe_layer(
+            run.label, run.cycles, run.host_seconds, n_pe=config.n_pe,
+            macs_fired=run.macs_fired,
+            pe_busy_cycles=stats.pe_busy_cycles,
+            search_stall_cycles=stats.search_stall_cycles,
+            inject_stall_cycles=stats.inject_stall_cycles,
+            packets=stats.packets, degraded=len(run.degraded),
+            memo_stats=run.memo_stats)
 
 
 class RunSession:

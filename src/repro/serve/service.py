@@ -27,7 +27,8 @@ import asyncio
 import dataclasses
 
 from repro.errors import ConfigurationError
-from repro.obs.live import MetricsRegistry, current_live
+from repro.obs.live import MetricsRegistry
+from repro.obs.runsession import resolve_options
 from repro.serve.chaos import ChaosController
 from repro.serve.jobs import (JobRecord, JobResult, JobSpec, JobState,
                               Overloaded, ServicePolicy, next_seq)
@@ -53,8 +54,9 @@ class SimulationService:
         policy: the :class:`ServicePolicy` in force.
         chaos: optional :class:`~repro.serve.chaos.ChaosController` —
             tests only; production passes None and no chaos code runs.
-        registry: metrics sink; defaults to the ambient live-telemetry
-            registry when one is active, else a private one.
+        registry: metrics sink; defaults to the registry of the live
+            telemetry the service's options resolve to
+            (``RunSession(live=...)``), else a private one.
     """
 
     def __init__(self, policy: ServicePolicy | None = None,
@@ -62,12 +64,12 @@ class SimulationService:
                  registry: MetricsRegistry | None = None) -> None:
         self.policy = policy or ServicePolicy()
         self.chaos = chaos
+        self.config = serve_config()
         if registry is None:
-            live = current_live()
+            live = resolve_options(self.config).live
             registry = live.registry if live is not None else (
                 MetricsRegistry())
         self.metrics = registry
-        self.config = serve_config()
         self.plan_cache = (PlanCache(self.config)
                            if self.policy.plan_cache else None)
         self.queue = AdmissionQueue(self.policy)

@@ -13,6 +13,7 @@ every cluster size (row/neuron partitioning never changes arithmetic).
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.nn.activations import Sigmoid, Tanh
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.models import fully_connected_classifier, small_lstm
 from repro.nn.network import Network
-from repro.obs import RunSession, TraceOptions
+from repro.obs import LiveTelemetry, RunSession, TraceOptions
 
 LOCK_STEP = NeurocubeConfig(sim_skip_ahead=False)
 SKIP_AHEAD = NeurocubeConfig(sim_skip_ahead=True)
@@ -230,26 +231,42 @@ class TestFaultEquivalence:
 class TestSessionParity:
     def test_session_sees_serial_and_pooled_runs_alike(self, tmp_path):
         """Cube jobs take their options from the parent and never read a
-        session: under one session with trace and memo set, serial and
-        pooled runs report and record identically."""
+        session: under one session with trace, memo and live telemetry
+        set, serial and pooled runs report and record identically, and
+        every cube run reaches the telemetry."""
         net = Network([Conv2D(2, 3, activation=Tanh(), name="conv")],
                       input_shape=(1, 16, 16), name="session_conv", seed=3)
         x = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 16, 16))
         mc = cluster(SKIP_AHEAD, 2)
         seen = {}
+        snapshots = {}
         for workers in (1, 2):
+            live = LiveTelemetry(heartbeat_cycles=100)
             with RunSession(trace=TraceOptions(),
-                            memo_dir=tmp_path / f"memo{workers}") as session:
+                            memo_dir=tmp_path / f"memo{workers}",
+                            live=live) as session:
                 simulator = ShardedSimulator(mc, workers=workers)
                 _, functional = simulator.run_network(net, x)
                 timing = simulator.run_timing(net)
             seen[workers] = (functional, timing, len(session.runs))
+            assert live.cycles == session.total_cycles
+            labels = Counter(run.label for run in session.runs)
+            assert all(label.endswith((".cube0", ".cube1"))
+                       for label in labels)
+            for label, count in labels.items():
+                assert live.registry.value("neurocube_layer_runs",
+                                           layer=label) == count
+            assert live.heartbeats
+            snapshot = live.registry.snapshot()
+            snapshot.pop("neurocube_phase_seconds")
+            snapshots[workers] = snapshot
         for serial, parallel in zip(seen[1][:2], seen[2][:2], strict=True):
             assert_reports_identical(serial, parallel)
             assert (dataclasses.replace(serial.report, host_seconds=0.0)
                     == dataclasses.replace(parallel.report,
                                            host_seconds=0.0))
         assert seen[1][2] == seen[2][2]
+        assert snapshots[1] == snapshots[2]
 
 
 class TestCheckpointAcrossCubes:

@@ -18,10 +18,11 @@ from repro.obs import (
     PHASES,
     LiveTelemetry,
     MetricsRegistry,
-    ambient_phase,
-    current_live,
+    RunSession,
+    TraceOptions,
+    current_run_session,
+    resolve_options,
 )
-from repro.obs.live import ambient_timer
 
 
 def run_conv(config, live=None, size=12, seed=31, **sim_kwargs):
@@ -35,7 +36,7 @@ def run_conv(config, live=None, size=12, seed=31, **sim_kwargs):
     simulator = NeurocubeSimulator(config, **sim_kwargs)
     if live is None:
         return simulator.run_descriptor(desc, net.layers[0], quantised)
-    with live:
+    with RunSession(live=live):
         return simulator.run_descriptor(desc, net.layers[0], quantised)
 
 
@@ -146,30 +147,37 @@ class TestPhaseTimers:
                                                 "trace_export"]
         assert set(live.phase_breakdown()) <= set(PHASES)
 
-    def test_ambient_phase_without_session_is_noop(self):
-        assert current_live() is None
-        with ambient_phase("compile"):
+    def test_ambient_phase_without_session_is_noop(self, config):
+        assert current_run_session() is None
+        options = resolve_options(config)
+        assert options.live is None
+        with options.phase("compile"):
             pass  # must not raise nor record anywhere
 
-    def test_ambient_timer_without_session_is_none(self):
-        assert ambient_timer("memo_io") is None
+    def test_ambient_timer_without_session_is_none(self, config):
+        assert resolve_options(config).timer("memo_io") is None
 
-    def test_ambient_timer_bills_the_active_session(self):
-        with LiveTelemetry() as live:
-            factory = ambient_timer("checkpoint")
+    def test_ambient_timer_bills_the_active_session(self, config):
+        live = LiveTelemetry()
+        with RunSession(live=live):
+            factory = resolve_options(config).timer("checkpoint")
             with factory():
                 pass
         assert live.phase_seconds("checkpoint") >= 0.0
         assert "checkpoint" not in live.phase_breakdown() or (
             live.phase_breakdown()["checkpoint"] > 0.0)
 
-    def test_sessions_nest_innermost_wins(self):
-        with LiveTelemetry() as outer:
-            assert current_live() is outer
-            with LiveTelemetry() as inner:
-                assert current_live() is inner
-            assert current_live() is outer
-        assert current_live() is None
+    def test_sessions_nest_innermost_wins(self, config):
+        outer, inner = LiveTelemetry(), LiveTelemetry()
+        with RunSession(live=outer):
+            assert resolve_options(config).live is outer
+            with RunSession(live=inner):
+                assert resolve_options(config).live is inner
+                with RunSession(trace=TraceOptions()):
+                    # An unset live is inherited from the enclosing one.
+                    assert resolve_options(config).live is inner
+            assert resolve_options(config).live is outer
+        assert resolve_options(config).live is None
 
 
 class TestHeartbeats:
@@ -243,7 +251,8 @@ class TestSimulatorFeed:
     def test_run_network_times_compile_phase(self, config):
         net = models.single_conv_layer(10, 10, 3, seed=32)
         x = np.zeros((1, 10, 10))
-        with LiveTelemetry() as live:
+        live = LiveTelemetry()
+        with RunSession(live=live):
             _, report = NeurocubeSimulator(config).run_network(net, x)
         assert live.phase_seconds("compile") > 0.0
         assert report.layers
@@ -263,11 +272,11 @@ class TestSimulatorFeed:
         net = models.single_conv_layer(10, 10, 3, qformat=None)
         desc = compile_inference(net, memo_config).descriptors[0]
         live = LiveTelemetry()
-        with live:
+        with RunSession(live=live):
             NeurocubeSimulator(memo_config).run_descriptor(desc)  # miss
         stored = live.phase_seconds("memo_io")
         assert stored > 0.0
-        with live:
+        with RunSession(live=live):
             NeurocubeSimulator(memo_config).run_descriptor(desc)  # hit
         assert live.phase_seconds("memo_io") > stored
         assert live.registry.value("neurocube_memo_lookups",

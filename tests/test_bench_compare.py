@@ -118,8 +118,8 @@ def test_sim_rate_speedup_is_informational(tmp_path):
                     bench_json({"test_a": 1.0}, rates={"test_a": 500.0}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "500 sim cycles/s" in result.stdout
-    assert "0.50x baseline rate" in result.stdout
+    assert ("[simulated_cycles_per_second=500, 0.50x baseline]"
+            in result.stdout)
 
 
 def test_fault_counters_are_informational(tmp_path):
@@ -134,7 +134,8 @@ def test_fault_counters_are_informational(tmp_path):
                                                   "packets_lost": 3}}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "[faults: packets_lost=3, retries=16]" in result.stdout
+    assert ("[fault_counters: packets_lost=3, retries=16]"
+            in result.stdout)
 
 
 def test_zero_fault_counters_stay_silent(tmp_path):
@@ -144,7 +145,7 @@ def test_zero_fault_counters_stay_silent(tmp_path):
                                faults={"test_a": {"retries": 0}}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "[faults:" not in result.stdout
+    assert "fault_counters" not in result.stdout
 
 
 def test_memo_counters_are_informational(tmp_path):
@@ -160,7 +161,7 @@ def test_memo_counters_are_informational(tmp_path):
                                                 "evictions": 0}}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "[memo: hits=3, misses=1, stores=1]" in result.stdout
+    assert "[memo_counters: hits=3, misses=1, stores=1]" in result.stdout
 
 
 def test_zero_memo_counters_stay_silent(tmp_path):
@@ -170,7 +171,7 @@ def test_zero_memo_counters_stay_silent(tmp_path):
                                memo={"test_a": {"hits": 0}}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "[memo:" not in result.stdout
+    assert "memo_counters" not in result.stdout
 
 
 def test_stream_rate_is_informational_with_baseline_factor(tmp_path):
@@ -182,8 +183,7 @@ def test_stream_rate_is_informational_with_baseline_factor(tmp_path):
                     bench_json({"test_a": 1.0}, stream={"test_a": 100.0}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "100 warm frames/s" in result.stdout
-    assert "0.50x baseline rate" in result.stdout
+    assert "[warm_frames_per_second=100, 0.50x baseline]" in result.stdout
 
 
 def test_stream_rate_without_baseline(tmp_path):
@@ -192,8 +192,21 @@ def test_stream_rate_without_baseline(tmp_path):
                     bench_json({"test_a": 1.0}, stream={"test_a": 150.0}))
     result = run_tool(baseline, current)
     assert result.returncode == 0
-    assert "150 warm frames/s" in result.stdout
-    assert "baseline rate" not in result.stdout
+    assert "[warm_frames_per_second=150]" in result.stdout
+    assert "x baseline" not in result.stdout
+
+
+def test_empty_extra_info_values_stay_silent(tmp_path):
+    """Zero scalars, empty strings and empty dicts print nothing."""
+    payload = bench_json({"test_a": 1.0})
+    payload["benchmarks"][0]["extra_info"] = {
+        "cubes": 0, "label": "", "fault_counters": {},
+        "sharded_speedup": 1.5}
+    baseline = write(tmp_path, "base.json", bench_json({"test_a": 1.0}))
+    current = write(tmp_path, "cur.json", payload)
+    result = run_tool(baseline, current)
+    assert result.returncode == 0
+    assert "ok  [sharded_speedup=1.5]\n" in result.stdout
 
 
 def test_new_and_retired_benchmarks_do_not_gate(tmp_path):

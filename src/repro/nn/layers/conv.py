@@ -16,12 +16,21 @@ from repro.nn.activations import Activation
 from repro.nn.layers.base import Layer
 
 
-def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Lower ``(B, C, H, W)`` into ``(B, C*k*k, OH*OW)`` patch columns."""
+def im2col(x: np.ndarray, kernel: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Lower ``(B, C, H, W)`` into ``(B, C*k*k, OH*OW)`` patch columns.
+
+    With ``out`` (a C-contiguous array of the result's shape) the
+    columns are written into it and it is returned.
+    """
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     batch, channels, out_h, out_w, _, _ = windows.shape
     cols = windows.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(batch, channels * kernel * kernel, out_h * out_w)
+    if out is None:
+        return cols.reshape(batch, channels * kernel * kernel,
+                            out_h * out_w)
+    np.copyto(out.reshape(cols.shape), cols)
+    return out
 
 
 def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
@@ -68,6 +77,7 @@ class Conv2D(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self._cols: np.ndarray | None = None
+        self._workspace: np.ndarray | None = None
 
     def compute_output_shape(
             self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,10 +106,22 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
-        cols = im2col(np.asarray(x, dtype=np.float64), self.kernel)
+        x64 = np.asarray(x, dtype=np.float64)
         if training:
+            cols = im2col(x64, self.kernel)
             self._x = x
             self._cols = cols
+        else:
+            # Inference reuses one column buffer per layer.  A fresh one
+            # per call (megabytes for an early layer) is freed at the
+            # heap top, where the allocator may trim it and fault it
+            # back in on the next call: the call's speed would hinge on
+            # unrelated allocations.
+            shape = (x64.shape[0], x64.shape[1] * self.kernel ** 2,
+                     self.output_shape[1] * self.output_shape[2])
+            if self._workspace is None or self._workspace.shape != shape:
+                self._workspace = np.empty(shape)
+            cols = im2col(x64, self.kernel, out=self._workspace)
         w = self.params["weight"].reshape(self.out_channels, -1)
         y = np.einsum("oc,bcp->bop", w, cols, optimize=True)
         y += self.params["bias"][None, :, None]

@@ -96,6 +96,29 @@ class TestForward:
         out = layer.forward(x)
         assert np.all(np.abs(out) <= 1.0)
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_repeated_inference_matches_fresh_layer(self, rng, kernel):
+        """The reused column buffer never leaks one call into the next,
+        nor aliases (and later overwrites) a caller's input."""
+        layer = build(Conv2D(2, kernel), (2, 6, 6))
+        inputs = [rng.normal(size=(batch, 2, 6, 6)) for batch in (1, 1, 2)]
+        kept = [x.copy() for x in inputs]
+        outputs = [layer.forward(x) for x in inputs]
+        for x, original, out in zip(inputs, kept, outputs, strict=True):
+            np.testing.assert_array_equal(x, original)
+            fresh = build(Conv2D(2, kernel), (2, 6, 6))
+            np.testing.assert_array_equal(out, fresh.forward(x))
+
+    def test_training_columns_survive_inference(self, rng):
+        layer = build(Conv2D(2, 3), (2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
+        grad_out = rng.normal(size=(1, *layer.output_shape))
+        layer.forward(x, training=True)
+        expected = layer.backward(grad_out)
+        layer.forward(x, training=True)
+        layer.forward(rng.normal(size=(1, 2, 5, 5)))
+        np.testing.assert_array_equal(layer.backward(grad_out), expected)
+
 
 class TestBackward:
     def test_input_gradient_matches_numeric(self, rng):
